@@ -114,16 +114,25 @@ def cmd_solve(args) -> int:
         "validation": validate_tree(tree, instance).status,
         "strategy": _strategy_document(tree, instance),
     }
-    try:
-        progress = min_progress_ratio(instance.utility)
-        rho = progress.ratio
-        eta = progress.floor
-        report["rho"] = str(rho)
-        report["eta"] = str(eta)
-        ceiling = ratio_ceiling(eta, instance.goal)
-        report["ratio_ceiling"] = None if ceiling is None else str(ceiling)
-    except PreconditionError:
-        report["rho"] = report["eta"] = report["ratio_ceiling"] = None
+    space = _partial_space(instance)
+    if space > MAX_CHECK_SPACE:
+        report["rho"] = "skipped"
+        report["rho_reason"] = (
+            "(states+1)^n = %d partial realizations exceeds MAX_CHECK_SPACE = %d"
+            % (space, MAX_CHECK_SPACE)
+        )
+        report["eta"] = report["ratio_ceiling"] = None
+    else:
+        try:
+            progress = min_progress_ratio(instance.utility)
+            rho = progress.ratio
+            eta = progress.floor
+            report["rho"] = str(rho)
+            report["eta"] = str(eta)
+            ceiling = ratio_ceiling(eta, instance.goal)
+            report["ratio_ceiling"] = None if ceiling is None else str(ceiling)
+        except PreconditionError:
+            report["rho"] = report["eta"] = report["ratio_ceiling"] = None
     if traces:
         report["root_budget"] = str(traces[0].budget)
     with open(args.outfile, "w", encoding="utf-8") as fh:
@@ -133,8 +142,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _partial_space(instance) -> int:
+    """Number of partial realizations an exhaustive checker enumerates."""
+    return (len(instance.alphabet) + 1) ** instance.n
+
+
 def _check_space(instance) -> bool:
-    return (len(instance.alphabet) + 1) ** instance.n <= MAX_CHECK_SPACE
+    return _partial_space(instance) <= MAX_CHECK_SPACE
 
 
 def cmd_check(args) -> int:

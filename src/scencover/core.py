@@ -110,20 +110,50 @@ def enumerate_partials(alphabet: StateAlphabet, n: int):
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Distinct full realizations with positive integer weights."""
+    """Distinct full realizations with positive integer weights.
+
+    Construction builds an exact row index: bit j of a row mask stands for
+    row j.  There is one mask per (item, state) holding the rows with that
+    state at that item, one mask per binary digit of the weights (bit plane
+    k holds the rows whose weight has bit k set), and the all-rows mask.
+    The rows extending a partial realization b are the AND of the masks of
+    b's observed positions, and their weight is the sum over the planes of
+    popcount(mask & plane_k) << k.  A query therefore costs O(n) big-int ANDs
+    plus O(log w_max) popcounts, independent of the row count m.  The index
+    holds at most n·|states| item masks, floor(log2 w_max) + 1 bit planes
+    and the all-rows mask, each of m bits.
+    """
 
     rows: tuple[tuple[tuple[str, ...], int], ...]
+    _columns: tuple = field(init=False, repr=False, compare=False)
+    _planes: tuple = field(init=False, repr=False, compare=False)
+    _all: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
-        for a, w in self.rows:
+        n = self.n
+        columns = tuple({} for _ in range(n))
+        planes: list[int] = []
+        for j, (a, w) in enumerate(self.rows):
             if UNKNOWN in a:
                 raise PreconditionError("sample rows must be full realizations")
+            if len(a) != n:
+                raise PreconditionError("sample rows differ in length")
             if a in seen:
                 raise PreconditionError("duplicate sample row %r" % (a,))
             seen.add(a)
             if not (isinstance(w, int) and w >= 1):
                 raise PreconditionError("weights must be positive integers")
+            bit = 1 << j
+            for column, s in zip(columns, a):
+                column[s] = column.get(s, 0) | bit
+            planes.extend([0] * (w.bit_length() - len(planes)))
+            for k in range(w.bit_length()):
+                if w >> k & 1:
+                    planes[k] |= bit
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_planes", tuple(planes))
+        object.__setattr__(self, "_all", (1 << len(self.rows)) - 1)
 
     @property
     def size(self) -> int:
@@ -133,22 +163,44 @@ class WeightedSample:
     @property
     def total_weight(self) -> int:
         """Sum of all row weights (the sample's W)."""
-        return sum(w for _, w in self.rows)
+        return self._mass(self._all)
 
     @property
     def n(self) -> int:
         return len(self.rows[0][0]) if self.rows else 0
 
-    def consistent_rows(self, b):
-        """Rows extending b, together with their total weight."""
+    def _mask(self, b) -> int:
+        """Row mask of the rows extending b."""
         if self.rows and len(b) != self.n:
             raise PreconditionError("dimension mismatch")
-        rows = tuple((a, w) for a, w in self.rows if is_extension(a, b))
-        return rows, sum(w for _, w in rows)
+        mask = self._all
+        for column, s in zip(self._columns, b):
+            if s != UNKNOWN:
+                mask &= column.get(s, 0)
+                if not mask:
+                    break
+        return mask
+
+    def _mass(self, mask: int) -> int:
+        """Total weight of the rows in a row mask."""
+        return sum((mask & plane).bit_count() << k
+                   for k, plane in enumerate(self._planes))
+
+    def consistent_rows(self, b):
+        """Rows extending b in sample order, together with their total weight."""
+        mask = self._mask(b)
+        # bin() lists bit j at position -1-j; reversed, row j pairs with bit j
+        bits = bin(mask)[:1:-1]
+        rows = tuple(row for row, bit in zip(self.rows, bits) if bit == "1")
+        return rows, self._mass(mask)
 
     def weight_of(self, b) -> int:
         """Total weight of rows extending b."""
-        return self.consistent_rows(b)[1]
+        return self._mass(self._mask(b))
+
+    def count_of(self, b) -> int:
+        """Number of rows extending b."""
+        return self._mask(b).bit_count()
 
     def scaled(self, factor: int) -> "WeightedSample":
         return WeightedSample(tuple((a, w * factor) for a, w in self.rows))

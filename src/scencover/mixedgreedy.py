@@ -12,6 +12,7 @@ policies that never materialize the tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,26 +85,21 @@ def worst_case_realization(g: UtilityFunction, b) -> dict:
 
 def weight_removal_function(instance: ScenarioInstance, b, sigma: dict):
     """Stage-1 objective: weight of consistent rows that deviate from the
-    anchor realization on at least one item of the argument set."""
-    rows, _ = instance.sample.consistent_rows(b)
+    anchor realization on at least one item of the argument set.
+
+    Those are the rows consistent with b less the rows consistent with b
+    anchored on the whole set, so h(r) = W_b - W(b with sigma on r).
+    """
+    sample = instance.sample
+    wb = sample.weight_of(b)
 
     def h(r: frozenset) -> int:
-        return sum(w for a, w in rows if any(a[i] != sigma[i] for i in r))
+        anchored = b
+        for i in r:
+            anchored = extend(anchored, i, sigma[i])
+        return wb - sample.weight_of(anchored)
 
     return h
-
-
-def _memoized(fn):
-    cache: dict = {}
-
-    def wrapped(r: frozenset):
-        v = cache.get(r)
-        if v is None:
-            v = fn(r)
-            cache[r] = v
-        return v
-
-    return wrapped
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
             cur = extend(cur, i, sigma[i])
         return g.value(cur) - gb
 
-    budget = find_budget(frees, _memoized(anchored_gain), costs)
+    budget = find_budget(frees, functools.cache(anchored_gain), costs)
     eligible = sorted(i for i in frees if costs[i] <= budget)
 
     cur = b
@@ -162,7 +158,7 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         # the utility stage
         stage1_exit = "skipped"
     else:
-        h = _memoized(weight_removal_function(instance, b, sigma))
+        h = functools.cache(weight_removal_function(instance, b, sigma))
         chosen: frozenset = frozenset()
         spent = Fraction(0)
         while True:
@@ -453,7 +449,7 @@ def backbone_audit(instance: ScenarioInstance, b=None,
         cur = extend(cur, i, trace.sigma[i])
 
     h_p = residual_mass_function(instance, b, trace.sigma)
-    job = make_job(_memoized(h_p), costs, scale=Fraction(1))
+    job = make_job(functools.cache(h_p), costs, scale=Fraction(1))
     stage1_sched = full_cost_schedule(trace.stage1_items, costs)
     backbone_sched = full_cost_schedule(trace.plan, costs)
     stage1_cost = schedule_cost(job, stage1_sched)

@@ -108,7 +108,7 @@ class CountEliminationUtility(UtilityFunction):
         self.sample = sample
 
     def _evaluate(self, b):
-        return self.sample.size - len(self.sample.consistent_rows(b)[0])
+        return self.sample.size - self.sample.count_of(b)
 
 
 class WeightEliminationUtility(UtilityFunction):

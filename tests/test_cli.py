@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from scencover.cli import main
+from scencover import cli
+from scencover.cli import MAX_CHECK_SPACE, main
 from scencover.serialize import dumps_document
 
 
@@ -107,6 +108,27 @@ def test_solve_oracle_refusal_exits_3(tmp_path):
                 "--out", infile]) == 0
     assert run(["solve", "--algorithm", "optimal", "--in", infile,
                 "--out", tmp_path / "o.json"]) == 3
+
+
+def test_solve_skips_rho_above_check_space(tmp_path, monkeypatch):
+    # (3+1)^14 partial realizations: the unguarded rho enumeration hangs
+    def enumeration_refused(*args, **kwargs):
+        raise AssertionError("min_progress_ratio ran above MAX_CHECK_SPACE")
+
+    monkeypatch.setattr(cli, "min_progress_ratio", enumeration_refused)
+    infile = tmp_path / "wide.json"
+    assert run(["gen", "--seed", 3, "--n", 14, "--states", 3,
+                "--family", "coverage", "--sample-size", 8,
+                "--out", infile]) == 0
+    out = tmp_path / "report.json"
+    assert run(["solve", "--algorithm", "mixed", "--in", infile,
+                "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["rho"] == "skipped"
+    assert str(4 ** 14) in report["rho_reason"]
+    assert str(MAX_CHECK_SPACE) in report["rho_reason"]
+    assert report["eta"] is None and report["ratio_ceiling"] is None
+    assert report["expected_cost"]["exact"]
 
 
 def test_gen_determinism(tmp_path):

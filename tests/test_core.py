@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scencover.core import (
     UNKNOWN,
@@ -81,6 +81,40 @@ def test_consistent_rows():
     assert SAMPLE.weight_of(("1", "0")) == 0
 
 
+def _scan(sample, b):
+    """Reference for the row index: scan every row with is_extension."""
+    rows = tuple((a, w) for a, w in sample.rows if is_extension(a, b))
+    return rows, sum(w for _, w in rows)
+
+
+@st.composite
+def sample_and_partial(draw):
+    n = draw(st.integers(1, 5))
+    states = ("0", "1", "2")[: draw(st.integers(2, 3))]
+    full = st.tuples(*[st.sampled_from(states)] * n)
+    assignments = draw(st.lists(full, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(1, 40), min_size=len(assignments),
+                            max_size=len(assignments)))
+    # "2" on a binary sample and "x" always are states no row has
+    b = draw(st.tuples(*[st.sampled_from(states + ("x", U, U))] * n))
+    return WeightedSample(tuple(zip(assignments, weights))), b
+
+
+@given(sample_and_partial())
+@example((WeightedSample(()), (U, "0")))
+def test_row_index_matches_row_scan(drawn):
+    sample, b = drawn
+    rows, weight = _scan(sample, b)
+    assert sample.consistent_rows(b) == (rows, weight)
+    assert sample.weight_of(b) == weight
+    assert sample.count_of(b) == len(rows)
+    assert sample.total_weight == sum(w for _, w in sample.rows)
+    if sample.rows:
+        for query in (sample.consistent_rows, sample.weight_of, sample.count_of):
+            with pytest.raises(PreconditionError):
+                query(b + (U,))
+
+
 def test_sample_invariants():
     with pytest.raises(PreconditionError):
         WeightedSample(((("0", U), 1),))
@@ -88,6 +122,8 @@ def test_sample_invariants():
         WeightedSample(((("0", "0"), 1), (("0", "0"), 2)))
     with pytest.raises(PreconditionError):
         WeightedSample(((("0", "0"), 0),))
+    with pytest.raises(PreconditionError):
+        WeightedSample(((("0", "0"), 1), (("1",), 1)))
 
 
 def test_cost_vector_positive():

@@ -1,5 +1,6 @@
 """The two-stage backbone tree builder, its online form, and the audits."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from scencover.core import (
     empty_partial,
     enumerate_realizations,
     expected_cost,
+    extend,
     follow,
+    free_items,
+    is_extension,
     validate_tree,
 )
 from scencover.mixedgreedy import (
@@ -93,6 +97,24 @@ def test_weight_removal_function():
     h_zero = weight_removal_function(solo, (U, U), {0: "0", 1: "0"})
     for r in (frozenset(), frozenset({0}), frozenset({0, 1})):
         assert h_zero(r) == 0
+
+
+def test_weight_removal_function_matches_row_definition():
+    # the stage-1 objective by its definition, scanning the consistent rows
+    for seed, inst, _ in instance_stream(60, base_seed=8100, max_n=4):
+        a0 = inst.sample.rows[0][0]
+        for b in (empty_partial(inst.n), extend(empty_partial(inst.n), 0, a0[0])):
+            if inst.utility.value(b) >= inst.goal:
+                continue
+            sigma = worst_case_realization(inst.utility, b)
+            rows = [(a, w) for a, w in inst.sample.rows if is_extension(a, b)]
+            h = weight_removal_function(inst, b, sigma)
+            frees = free_items(b)
+            for size in range(len(frees) + 1):
+                for r in itertools.combinations(frees, size):
+                    expected = sum(w for a, w in rows
+                                   if any(a[i] != sigma[i] for i in r))
+                    assert h(frozenset(r)) == expected, (seed, b, r)
 
 
 def test_mixed_greedy_goal_at_entry():
