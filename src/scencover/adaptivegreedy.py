@@ -9,6 +9,7 @@ distribution regardless of the original utility.
 
 from __future__ import annotations
 
+from .budgeted import best_ratio
 from .core import (
     PreconditionError,
     ScenarioInstance,
@@ -40,17 +41,16 @@ class AdaptiveGreedyStrategy(Strategy):
             raise PreconditionError("goal unreachable: no items left")
         if self.sample.weight_of(b) == 0:
             return frees[0]
-        best = None
-        best_score = None  # unnormalized: sum over states of weight * gain
-        for i in frees:
-            score = 0
+        gb = g.value(b)
+
+        def score(i):  # unnormalized: sum over states of weight * gain
+            total = 0
             for s in g.alphabet:
                 b_ext = extend(b, i, s)
-                score += self.sample.weight_of(b_ext) * (g.value(b_ext) - g.value(b))
-            # strict > keeps the lowest-index maximizer
-            if best is None or score * self.costs[best] > best_score * self.costs[i]:
-                best, best_score = i, score
-        return best
+                total += self.sample.weight_of(b_ext) * (g.value(b_ext) - gb)
+            return total
+
+        return best_ratio(frees, score, self.costs)
 
 
 def adaptive_greedy(g: UtilityFunction, sample, costs) -> AdaptiveGreedyStrategy:

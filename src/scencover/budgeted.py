@@ -51,6 +51,23 @@ GREEDY_CONSTANTS = solve_chi()
 ALPHA = GREEDY_CONSTANTS.alpha
 
 
+def best_ratio(items: Iterable[int], gain: Callable[[int], "int | Fraction"],
+               costs: CostVector):
+    """The item of highest gain per unit cost, or None if there is none.
+
+    Every greedy choice in the package goes through here, so this function
+    owns the tie-break: ratios are compared as exact cross-products
+    gain(i)*cost(j) > gain(j)*cost(i), and the strict > keeps the first
+    maximizer in `items` order (the lowest index when `items` is sorted).
+    """
+    best = best_gain = None
+    for i in items:
+        g = gain(i)
+        if best is None or g * costs[best] > best_gain * costs[i]:
+            best, best_gain = i, g
+    return best
+
+
 def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
                   budget: Fraction) -> frozenset:
     """Greedy budgeted maximization with last-step overshoot.
@@ -69,13 +86,7 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     current = frozenset()
     base = f(current)
     while True:
-        best = None
-        best_gain = None
-        for i in eligible:
-            gain = f(current | {i}) - base
-            # strict > keeps the first (lowest-index) maximizer
-            if best is None or gain * costs[best] > best_gain * costs[i]:
-                best, best_gain = i, gain
+        best = best_ratio(eligible, lambda i: f(current | {i}) - base, costs)
         chosen.append(best)
         eligible.remove(best)
         spent += costs[best]

@@ -114,25 +114,7 @@ def cmd_solve(args) -> int:
         "validation": validate_tree(tree, instance).status,
         "strategy": _strategy_document(tree, instance),
     }
-    space = _partial_space(instance)
-    if space > MAX_CHECK_SPACE:
-        report["rho"] = "skipped"
-        report["rho_reason"] = (
-            "(states+1)^n = %d partial realizations exceeds MAX_CHECK_SPACE = %d"
-            % (space, MAX_CHECK_SPACE)
-        )
-        report["eta"] = report["ratio_ceiling"] = None
-    else:
-        try:
-            progress = min_progress_ratio(instance.utility)
-            rho = progress.ratio
-            eta = progress.floor
-            report["rho"] = str(rho)
-            report["eta"] = str(eta)
-            ceiling = ratio_ceiling(eta, instance.goal)
-            report["ratio_ceiling"] = None if ceiling is None else str(ceiling)
-        except PreconditionError:
-            report["rho"] = report["eta"] = report["ratio_ceiling"] = None
+    report.update(_progress_bound(instance)[1])
     if traces:
         report["root_budget"] = str(traces[0].budget)
     with open(args.outfile, "w", encoding="utf-8") as fh:
@@ -140,6 +122,34 @@ def cmd_solve(args) -> int:
     print("%s: expected cost %s (%s)"
           % (args.algorithm, cost, float(cost)))
     return EXIT_OK
+
+
+def _progress_bound(instance):
+    """The mixed-greedy ratio ceiling and the report fields behind it.
+
+    Returns (ceiling or None, {"rho", "eta", "ratio_ceiling"} as strings or
+    null).  Above MAX_CHECK_SPACE the exhaustive rho enumeration is not run:
+    rho reads "skipped" and "rho_reason" says why.
+    """
+    space = _partial_space(instance)
+    if space > MAX_CHECK_SPACE:
+        return None, {
+            "rho": "skipped",
+            "rho_reason": "(states+1)^n = %d partial realizations exceeds "
+                          "MAX_CHECK_SPACE = %d" % (space, MAX_CHECK_SPACE),
+            "eta": None,
+            "ratio_ceiling": None,
+        }
+    try:
+        progress = min_progress_ratio(instance.utility)
+    except PreconditionError:
+        return None, {"rho": None, "eta": None, "ratio_ceiling": None}
+    ceiling = ratio_ceiling(progress.floor, instance.goal)
+    return ceiling, {
+        "rho": str(progress.ratio),
+        "eta": str(progress.floor),
+        "ratio_ceiling": None if ceiling is None else str(ceiling),
+    }
 
 
 def _partial_space(instance) -> int:
@@ -222,12 +232,8 @@ def _bench_row(path, algorithms):
         optimum = None
         row["optimal"] = "oracle skipped"
 
-    try:
-        eta = min_progress_ratio(instance.utility).floor
-    except PreconditionError:
-        eta = None
-    ceiling = None if eta is None else ratio_ceiling(eta, instance.goal)
-    row["ratio_ceiling"] = None if ceiling is None else str(ceiling)
+    ceiling, fields = _progress_bound(instance)
+    row.update(fields)
 
     all_pass = True
     for algorithm in algorithms:

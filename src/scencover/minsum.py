@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .core import CostVector, PreconditionError, extend
-from .budgeted import SetFunction
+from .core import CostVector, PreconditionError
+from .budgeted import SetFunction, best_ratio
 
 Schedule = tuple  # of (item, Fraction time) pairs
 
@@ -130,12 +129,7 @@ def standard_greedy(items, f: SetFunction, costs: CostVector) -> Schedule:
     value = f(current)
     while value < full:
         remaining = [i for i in items if i not in current]
-        best = None
-        best_gain = None
-        for i in remaining:
-            gain = f(current | {i}) - value
-            if best is None or gain * costs[best] > best_gain * costs[i]:
-                best, best_gain = i, gain
+        best = best_ratio(remaining, lambda i: f(current | {i}) - value, costs)
         chosen.append(best)
         current = current | {best}
         value = f(current)
@@ -208,22 +202,3 @@ def check_truncated_bounds(items, f: SetFunction, costs: CostVector,
             holds8 = False
     return TruncatedBoundsReport(greedy, d, worst4, worst8, holds4, holds8)
 
-
-def residual_mass_function(instance, b, sigma: dict) -> Callable[[frozenset], Fraction]:
-    """Probability mass (conditioned on b) of sample rows ruled out by
-    observing the anchor state on every item of the argument set.
-
-    `sigma` maps each free item of b to its anchor state.  Monotone and
-    submodular, with values in [0, 1].  Requires positive consistent weight.
-    """
-    wb = instance.sample.weight_of(b)
-    if wb == 0:
-        raise PreconditionError("conditional distribution undefined: weight 0")
-
-    def h(r: frozenset) -> Fraction:
-        anchored = b
-        for i in r:
-            anchored = extend(anchored, i, sigma[i])
-        return 1 - Fraction(instance.sample.weight_of(anchored), wb)
-
-    return h

@@ -1,13 +1,16 @@
-"""Recursive two-stage backbone tree builder and its scenario wrapper.
+"""Two-stage backbone policy (Mixed Greedy) and its scenario wrapper.
 
 Each invocation anchors a worst-case state per free item, budgets the work
 with a greedy budget search, then grows a backbone path in two greedy stages:
 first removing sample mass from the backbone as cheaply as possible, then
-raising utility along the anchor states.  Subtrees for off-anchor states are
-built recursively; a final recursive call continues below the backbone.
+raising utility along the anchor states.  An observed state off the anchor,
+or the end of the backbone, starts a fresh invocation there.
 
-Strategies are available both as explicit decision trees and as online
-policies that never materialize the tree.
+Each solver is one policy (a `Strategy`): it answers "which item next?" for
+an observed partial realization.  Run it online with `execute_online`, or
+expand it into an explicit decision tree with `materialize`, the only tree
+builder: `mixed_greedy` and `scenario_mixed_greedy_tree` are `materialize`
+applied to their policies.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budgeted import find_budget
+from .budgeted import best_ratio, find_budget
 from .core import (
     UNKNOWN,
     CostVector,
@@ -30,12 +33,11 @@ from .core import (
     extend,
     free_items,
 )
-from .minsum import full_cost_schedule, make_job, residual_mass_function, schedule_cost
+from .minsum import full_cost_schedule, make_job, schedule_cost
 from .oracle import (
     DEFAULT_LIMITS,
     OracleBudgetError,
     OracleLimits,
-    fixed_order_completion,
     optimal_tree,
 )
 from .utility import UtilityFunction, marginal, worst_state
@@ -104,7 +106,7 @@ def weight_removal_function(instance: ScenarioInstance, b, sigma: dict):
 
 @dataclass(frozen=True)
 class InvocationTrace:
-    """Record of the decisions of one invocation of the recursive builder."""
+    """Record of the decisions of one invocation of the backbone policy."""
 
     entry: tuple
     sigma: dict
@@ -150,73 +152,51 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     budget = find_budget(frees, functools.cache(anchored_gain), costs)
     eligible = sorted(i for i in frees if costs[i] <= budget)
 
-    cur = b
-    stage1: list[int] = []
-    rows_b, wb = instance.sample.consistent_rows(b)
-    if wb == 0:
-        # no consistent mass: removing weight is pointless, go straight to
-        # the utility stage
-        stage1_exit = "skipped"
-    else:
-        h = functools.cache(weight_removal_function(instance, b, sigma))
-        chosen: frozenset = frozenset()
+    cur = b  # b anchored on every item picked so far
+    chosen: frozenset = frozenset()  # those items, the stage-1 argument
+
+    def stage(gain):
+        """Anchor the best-ratio eligible item until the budget is spent, the
+        goal is met, or no eligible item is left (tested in that order)."""
+        nonlocal cur, chosen
+        picked: list[int] = []
         spent = Fraction(0)
         while True:
-            best = None
-            best_gain = None
-            for i in eligible:
-                gain = h(chosen | {i}) - h(chosen)
-                if best is None or gain * costs[best] > best_gain * costs[i]:
-                    best, best_gain = i, gain
-            stage1.append(best)
+            best = best_ratio(eligible, gain, costs)
+            picked.append(best)
             eligible.remove(best)
             chosen = chosen | {best}
             spent += costs[best]
             cur = extend(cur, best, sigma[best])
             if spent >= budget:
-                stage1_exit = "budget"
-                break
+                return tuple(picked), "budget"
             if g.value(cur) == g.goal:
-                stage1_exit = "goal"
-                break
+                return tuple(picked), "goal"
             if not eligible:
-                stage1_exit = "exhausted"
-                break
+                return tuple(picked), "exhausted"
 
-    stage2: list[int] = []
-    if stage1_exit == "goal":
-        stage2_exit = "skipped"
-    elif not eligible:
-        stage2_exit = "empty"
+    rows_b, wb = instance.sample.consistent_rows(b)
+    if wb == 0:
+        # no consistent mass: removing weight is pointless, go straight to
+        # the utility stage
+        stage1, stage1_exit = (), "skipped"
     else:
-        spent2 = Fraction(0)
-        while True:
-            best = None
-            best_gain = None
-            for i in eligible:
-                gain = marginal(g, cur, i, sigma[i])
-                if best is None or gain * costs[best] > best_gain * costs[i]:
-                    best, best_gain = i, gain
-            stage2.append(best)
-            eligible.remove(best)
-            spent2 += costs[best]
-            cur = extend(cur, best, sigma[best])
-            if spent2 >= budget:
-                stage2_exit = "budget"
-                break
-            if g.value(cur) == g.goal:
-                stage2_exit = "goal"
-                break
-            if not eligible:
-                stage2_exit = "exhausted"
-                break
+        h = functools.cache(weight_removal_function(instance, b, sigma))
+        stage1, stage1_exit = stage(lambda i: h(chosen | {i}) - h(chosen))
+
+    if stage1_exit == "goal":
+        stage2, stage2_exit = (), "skipped"
+    elif not eligible:
+        stage2, stage2_exit = (), "empty"
+    else:
+        stage2, stage2_exit = stage(lambda i: marginal(g, cur, i, sigma[i]))
 
     return InvocationTrace(
         entry=b,
         sigma=sigma,
         budget=budget,
-        stage1_items=tuple(stage1),
-        stage2_items=tuple(stage2),
+        stage1_items=stage1,
+        stage2_items=stage2,
         stage1_exit=stage1_exit,
         stage2_exit=stage2_exit,
         final=cur,
@@ -225,77 +205,53 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     )
 
 
-def mixed_greedy(instance: ScenarioInstance, b=None, traces: list | None = None):
-    """Build the full decision tree for the instance (explicit form).
-
-    `traces`, if given, collects the InvocationTrace of every invocation in
-    construction order.  The returned tree reaches the goal on every full
-    realization, not only on sample rows.
-    """
-    g = instance.utility
-    if b is None:
-        b = empty_partial(instance.n)
-    if g.value(b) == g.goal:
-        return Leaf()
-    trace = invocation_plan(instance, b)
-    if traces is not None:
-        traces.append(trace)
-
-    chain = []  # (node, anchor state) per backbone node
-    cur = b
-    for i in trace.plan:
-        s_i = trace.sigma[i]
-        children = {
-            s: mixed_greedy(instance, extend(cur, i, s), traces)
-            for s in instance.alphabet
-            if s != s_i
-        }
-        node = Node(i, children)
-        chain.append((node, s_i))
-        cur = extend(cur, i, s_i)
-    tail = mixed_greedy(instance, cur, traces)
-    for (node, s_i), nxt in zip(chain, [c for c, _ in chain[1:]] + [tail]):
-        node.children[s_i] = nxt
-    return chain[0][0]
-
-
 class MixedGreedyStrategy(Strategy):
-    """Online form of the tree builder: replays invocation plans lazily,
+    """The backbone policy: replays invocation plans from the root,
     descending into a fresh invocation whenever an observed state leaves
-    the current backbone."""
+    the current backbone or the backbone ends.
+
+    `plans` maps each invocation's entry to its InvocationTrace, in the
+    order first visited (the root first).
+    """
 
     def __init__(self, instance: ScenarioInstance):
         self.instance = instance
-        self._plans: dict = {}
-
-    def _plan(self, frame) -> InvocationTrace:
-        trace = self._plans.get(frame)
-        if trace is None:
-            trace = invocation_plan(self.instance, frame)
-            self._plans[frame] = trace
-        return trace
+        self.plans: dict = {}
 
     def next_item(self, b):
         g = self.instance.utility
-        frame = empty_partial(self.instance.n)
+        frame = empty_partial(len(b))
         while True:
-            if g.value(frame) == g.goal:
-                return None
-            trace = self._plan(frame)
-            cur = frame
-            descended = False
-            for i in trace.plan:
-                s_i = trace.sigma[i]
+            # a planned frame is below the goal: invocation_plan refuses others
+            trace = self.plans.get(frame)
+            if trace is None:
+                if g.value(frame) == g.goal:
+                    return None
+                trace = self.plans[frame] = invocation_plan(self.instance, frame)
+            for k, i in enumerate(trace.plan):
                 if b[i] == UNKNOWN:
                     return i
-                if b[i] == s_i:
-                    cur = extend(cur, i, s_i)
-                else:
-                    frame = extend(cur, i, b[i])
-                    descended = True
+                if b[i] != trace.sigma[i]:
+                    # off the backbone: the next frame is b up to item i
+                    for j in trace.plan[:k + 1]:
+                        frame = extend(frame, j, b[j])
                     break
-            if not descended:
-                frame = cur
+            else:
+                frame = trace.final
+
+
+def mixed_greedy(instance: ScenarioInstance, traces: list | None = None):
+    """The backbone policy as an explicit decision tree.
+
+    `traces`, if given, collects the InvocationTrace of every invocation,
+    the root first.  The returned tree reaches the goal on every full
+    realization, not only on sample rows.
+    """
+    strategy = MixedGreedyStrategy(instance)
+    tree = materialize(strategy, instance.alphabet, instance.n)
+    if traces is not None:
+        traces.extend(strategy.plans.values())
+    return tree
 
 
 class SuffixedStrategy(Strategy):
@@ -338,24 +294,13 @@ def scenario_mixed_greedy(instance: ScenarioInstance) -> SuffixedStrategy:
 
 
 def scenario_mixed_greedy_tree(instance: ScenarioInstance, traces=None):
-    """Explicit-tree form of the scenario wrapper."""
-    combined = combined_count_instance(instance)
-    tree = mixed_greedy(combined, traces=traces)
-    return _complete_leaves(tree, instance.utility, empty_partial(instance.n))
-
-
-def _complete_leaves(tree, g: UtilityFunction, b):
-    if isinstance(tree, Leaf):
-        if g.value(b) < g.goal:
-            return fixed_order_completion(g, b)
-        return tree
-    return Node(
-        tree.item,
-        {
-            s: _complete_leaves(child, g, extend(b, tree.item, s))
-            for s, child in tree.children.items()
-        },
-    )
+    """Explicit-tree form of the scenario wrapper; `traces` as in
+    `mixed_greedy`, for the backbone policy on the combined utility."""
+    strategy = scenario_mixed_greedy(instance)
+    tree = materialize(strategy, instance.alphabet, instance.n)
+    if traces is not None:
+        traces.extend(strategy.base.plans.values())
+    return tree
 
 
 class InducedUtility(UtilityFunction):
@@ -448,8 +393,9 @@ def backbone_audit(instance: ScenarioInstance, b=None,
         c_y += p * costs[i]
         cur = extend(cur, i, trace.sigma[i])
 
-    h_p = residual_mass_function(instance, b, trace.sigma)
-    job = make_job(functools.cache(h_p), costs, scale=Fraction(1))
+    # the job reads the removed mass as a share of W_b: h(r)/W_b
+    h = weight_removal_function(instance, b, trace.sigma)
+    job = make_job(functools.cache(h), costs, scale=wb)
     stage1_sched = full_cost_schedule(trace.stage1_items, costs)
     backbone_sched = full_cost_schedule(trace.plan, costs)
     stage1_cost = schedule_cost(job, stage1_sched)

@@ -74,6 +74,16 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
     costs = instance.costs
     memo: dict = {}
 
+    def item_cost(b, wb, i) -> Fraction:
+        """Cost of querying i at b, then continuing optimally."""
+        total = costs[i]
+        for s in instance.alphabet:
+            child = extend(b, i, s)
+            wc = instance.sample.weight_of(child)
+            if wc:
+                total += Fraction(wc, wb) * best_cost(child)
+        return total
+
     def best_cost(b) -> Fraction:
         if g.value(b) == g.goal:
             return Fraction(0)
@@ -82,16 +92,7 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
             return Fraction(0)
         if use_memo and b in memo:
             return memo[b]
-        best = None
-        for i in free_items(b):
-            total = costs[i]
-            for s in instance.alphabet:
-                child = extend(b, i, s)
-                wc = instance.sample.weight_of(child)
-                if wc:
-                    total += Fraction(wc, wb) * best_cost(child)
-            if best is None or total < best:
-                best = total
+        best = min((item_cost(b, wb, i) for i in free_items(b)), default=None)
         if best is None:
             raise PreconditionError("goal unreachable: no free items at %r" % (b,))
         if use_memo:
@@ -101,20 +102,11 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
     def build(b):
         if g.value(b) == g.goal:
             return Leaf()
-        if instance.sample.weight_of(b) == 0:
-            return fixed_order_completion(g, b)
         wb = instance.sample.weight_of(b)
-        best = None
-        best_item = None
-        for i in free_items(b):
-            total = costs[i]
-            for s in instance.alphabet:
-                child = extend(b, i, s)
-                wc = instance.sample.weight_of(child)
-                if wc:
-                    total += Fraction(wc, wb) * best_cost(child)
-            if best is None or total < best:
-                best, best_item = total, i
+        if wb == 0:
+            return fixed_order_completion(g, b)
+        # min keeps the first minimizer: ties go to the lowest index
+        best_item = min(free_items(b), key=lambda i: item_cost(b, wb, i))
         return Node(
             best_item,
             {s: build(extend(b, best_item, s)) for s in instance.alphabet},

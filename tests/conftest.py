@@ -7,8 +7,10 @@ reproduce exactly.
 import random
 from fractions import Fraction
 
-from scencover.core import CostVector
+from scencover.core import CostVector, Leaf, Node, empty_partial, extend
 from scencover.generate import random_instance, random_set_function
+from scencover.mixedgreedy import combined_count_instance, invocation_plan
+from scencover.oracle import fixed_order_completion
 
 FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
@@ -50,3 +52,59 @@ def seeded_budgeted(seed, max_items=12):
     total = sum((costs[i] for i in range(n)), Fraction(0))
     budget = total * Fraction(rng.randint(1, 4), 4)
     return list(range(n)), f, costs, budget
+
+
+def reference_mixed_greedy(instance, b=None, traces=None):
+    """The backbone tree built by explicit recursion over invocations: the
+    reference that `materialize(MixedGreedyStrategy)` must reproduce.
+
+    `traces`, if given, collects every InvocationTrace in construction
+    order (pre-order, off-anchor subtrees before the backbone's tail).
+    """
+    g = instance.utility
+    if b is None:
+        b = empty_partial(instance.n)
+    if g.value(b) == g.goal:
+        return Leaf()
+    trace = invocation_plan(instance, b)
+    if traces is not None:
+        traces.append(trace)
+
+    chain = []  # (node, anchor state) per backbone node
+    cur = b
+    for i in trace.plan:
+        s_i = trace.sigma[i]
+        children = {
+            s: reference_mixed_greedy(instance, extend(cur, i, s), traces)
+            for s in instance.alphabet
+            if s != s_i
+        }
+        node = Node(i, children)
+        chain.append((node, s_i))
+        cur = extend(cur, i, s_i)
+    tail = reference_mixed_greedy(instance, cur, traces)
+    for (node, s_i), nxt in zip(chain, [c for c, _ in chain[1:]] + [tail]):
+        node.children[s_i] = nxt
+    return chain[0][0]
+
+
+def reference_scenario_mixed_greedy_tree(instance, traces=None):
+    """The reference backbone tree on the count-elimination combination,
+    with every leaf below the original goal completed in index order."""
+    tree = reference_mixed_greedy(combined_count_instance(instance),
+                                  traces=traces)
+    return _complete_leaves(tree, instance.utility, empty_partial(instance.n))
+
+
+def _complete_leaves(tree, g, b):
+    if isinstance(tree, Leaf):
+        if g.value(b) < g.goal:
+            return fixed_order_completion(g, b)
+        return tree
+    return Node(
+        tree.item,
+        {
+            s: _complete_leaves(child, g, extend(b, tree.item, s))
+            for s, child in tree.children.items()
+        },
+    )

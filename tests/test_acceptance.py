@@ -15,7 +15,9 @@ from scencover.core import (
     PreconditionError,
     enumerate_realizations,
     expected_cost,
+    extend,
     follow,
+    is_extension,
     validate_tree,
 )
 from scencover.generate import random_set_function
@@ -25,7 +27,6 @@ from scencover.minsum import (
     full_cost_schedule,
     length,
     make_job,
-    residual_mass_function,
     schedule_cost,
     standard_greedy,
 )
@@ -52,7 +53,7 @@ from scencover.utility import (
     scenario_count_utility,
     scenario_weight_utility,
 )
-from conftest import instance_stream, seeded_budgeted
+from conftest import instance_stream, reference_mixed_greedy, seeded_budgeted
 
 BASE_FAMILIES = ("coverage", "k_of_n", "or")
 
@@ -233,9 +234,10 @@ def test_criterion_9_k_of_n_progress_floor():
 def test_criterion_10_cross_checks():
     violations = []
 
-    # online executor vs materialized tree on all realizations, n <= 4
+    # online executor vs the explicitly recursed tree on all realizations,
+    # n <= 4
     for seed, inst, _ in instance_stream(50, base_seed=6000, max_n=4):
-        tree = mixed_greedy(inst)
+        tree = reference_mixed_greedy(inst)
         policy = MixedGreedyStrategy(inst)
         for a in enumerate_realizations(inst.alphabet, inst.n):
             cost_t, term_t = follow(tree, a, inst.costs)
@@ -244,21 +246,28 @@ def test_criterion_10_cross_checks():
                 violations.append((seed, a, "online-vs-tree"))
                 break
 
-    # residual mass function == stage-1 weight removal / consistent weight
+    # the audit's job, stage-1 weight removal scaled by W_b, is the share of
+    # the consistent mass off the anchors: 1 - W(anchored)/W_b by row scan
     for seed, inst, _ in instance_stream(50, base_seed=6500, max_n=4):
         b = inst.sample.rows[0][0]
         b = tuple("*" for _ in b)  # audit the root entry
         if inst.utility.value(b) >= inst.goal:
             continue
         sigma = worst_case_realization(inst.utility, b)
-        wb = inst.sample.weight_of(b)
+        rows = [(a, w) for a, w in inst.sample.rows if is_extension(a, b)]
+        wb = sum(w for _, w in rows)
         h = weight_removal_function(inst, b, sigma)
-        h_p = residual_mass_function(inst, b, sigma)
+        job = make_job(h, inst.costs, scale=inst.sample.weight_of(b))
         frees = list(sigma)
         for size in range(len(frees) + 1):
             for r in itertools.combinations(frees, size):
-                if h_p(frozenset(r)) != Fraction(h(frozenset(r)), wb):
-                    violations.append((seed, r, "h_p-identity"))
+                anchored = b
+                for i in r:
+                    anchored = extend(anchored, i, sigma[i])
+                kept = sum(w for a, w in rows if is_extension(a, anchored))
+                done = full_cost_schedule(r, inst.costs)
+                if job.value(done) != 1 - Fraction(kept, wb):
+                    violations.append((seed, r, "job-mass-identity"))
 
     # schedule-cost additivity on 100 random instances
     for seed in range(100):

@@ -210,6 +210,29 @@ def test_bench_directory(tmp_path, capsys):
             assert Fraction(row[algorithm]["cost"]) >= opt
 
 
+def test_bench_skips_rho_above_check_space(tmp_path, monkeypatch):
+    # the bench row shares solve's guard on the rho enumeration
+    def enumeration_refused(*args, **kwargs):
+        raise AssertionError("min_progress_ratio ran above MAX_CHECK_SPACE")
+
+    monkeypatch.setattr(cli, "min_progress_ratio", enumeration_refused)
+    d = tmp_path / "wide"
+    d.mkdir()
+    assert run(["gen", "--seed", 3, "--n", 14, "--states", 3,
+                "--family", "coverage", "--sample-size", 8,
+                "--out", d / "wide.json"]) == 0
+    out = tmp_path / "bench.json"
+    assert run(["bench", "--dir", d, "--algorithms", "mixed",
+                "--out", out]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["optimal"] == "oracle skipped"
+    assert row["rho"] == "skipped"
+    assert str(4 ** 14) in row["rho_reason"]
+    assert str(MAX_CHECK_SPACE) in row["rho_reason"]
+    assert row["ratio_ceiling"] is None
+    assert row["mixed"]["pass"] is None
+
+
 def test_bench_empty_directory(tmp_path):
     d = tmp_path / "none"
     d.mkdir()

@@ -18,11 +18,11 @@ from scencover.minsum import (
     length,
     make_job,
     make_schedule,
-    residual_mass_function,
     schedule_cost,
     standard_greedy,
     truncate,
 )
+from scencover.mixedgreedy import weight_removal_function
 from scencover.oracle import optimal_schedule
 from scencover.utility import BINARY, KOfNUtility
 from scencover.core import ScenarioInstance
@@ -180,21 +180,26 @@ def _instance_with_sigma():
     return ScenarioInstance(g, sample, costs, BINARY)
 
 
+def _residual_mass(inst, b, sigma):
+    """Stage-1 mass removal read as a share of the consistent weight: the
+    job the backbone audit schedules."""
+    h = weight_removal_function(inst, b, sigma)
+    return make_job(h, inst.costs, scale=inst.sample.weight_of(b))
+
+
 def test_residual_mass_basics():
     inst = _instance_with_sigma()
-    b = ("*", "*")
-    sigma = {0: "0", 1: "1"}
-    h = residual_mass_function(inst, b, sigma)
-    assert h(frozenset()) == 0
+    job = _residual_mass(inst, ("*", "*"), {0: "0", 1: "1"})
+    assert job.value(()) == 0
     # anchoring both items leaves only the (0,1) row: 2 of 4 total
-    assert h(frozenset({0, 1})) == Fraction(1, 2)
+    assert job.value(full_cost_schedule((0, 1), inst.costs)) == Fraction(1, 2)
 
 
 def test_residual_mass_sigma_off_sample():
     inst = _instance_with_sigma()
-    sigma = {0: "1", 1: "0"}  # (1,0) is not a sample row
-    h = residual_mass_function(inst, ("*", "*"), sigma)
-    assert h(frozenset({0, 1})) == 1
+    # (1,0) is not a sample row
+    job = _residual_mass(inst, ("*", "*"), {0: "1", 1: "0"})
+    assert job.value(full_cost_schedule((0, 1), inst.costs)) == 1
 
 
 def test_residual_mass_single_matching_row():
@@ -203,12 +208,14 @@ def test_residual_mass_single_matching_row():
     inst = ScenarioInstance(
         g, sample, CostVector((Fraction(1), Fraction(1))), BINARY
     )
-    h = residual_mass_function(inst, ("*", "*"), {0: "0", 1: "0"})
-    for r in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
-        assert h(r) == 0
+    job = _residual_mass(inst, ("*", "*"), {0: "0", 1: "0"})
+    for r in ((), (0,), (1,), (0, 1)):
+        assert job.value(full_cost_schedule(r, inst.costs)) == 0
 
 
 def test_residual_mass_requires_mass():
     inst = _instance_with_sigma()
+    h = weight_removal_function(inst, ("1", "0"), {})
+    assert h(frozenset()) == 0
     with pytest.raises(PreconditionError):
-        residual_mass_function(inst, ("1", "0"), {})
+        _residual_mass(inst, ("1", "0"), {})

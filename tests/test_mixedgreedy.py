@@ -40,7 +40,12 @@ from scencover.mixedgreedy import (
 )
 from scencover.oracle import optimal_tree
 from scencover.utility import BINARY, KOfNUtility, TableUtility, worst_state
-from conftest import instance_stream
+from conftest import (
+    FAMILIES,
+    instance_stream,
+    reference_mixed_greedy,
+    reference_scenario_mixed_greedy_tree,
+)
 
 U = UNKNOWN
 
@@ -119,7 +124,7 @@ def test_weight_removal_function_matches_row_definition():
 
 def test_mixed_greedy_goal_at_entry():
     inst = _two_item_instance()
-    assert mixed_greedy(inst, b=("1", U)) == Leaf()
+    assert mixed_greedy(induced_instance(inst, ("1", U))) == Leaf()
 
 
 def test_mixed_greedy_single_item():
@@ -160,7 +165,7 @@ def test_tree_has_no_repeated_items():
 
 def test_online_matches_materialized():
     for _, inst, _ in instance_stream(20, base_seed=120, max_n=4, max_rows=6):
-        tree = mixed_greedy(inst)
+        tree = reference_mixed_greedy(inst)
         policy = MixedGreedyStrategy(inst)
         for a in enumerate_realizations(inst.alphabet, inst.n):
             cost_t, term_t = follow(tree, a, inst.costs)
@@ -169,6 +174,28 @@ def test_online_matches_materialized():
             )
             assert cost_t == cost_p
             assert term_t == term_p
+
+
+def test_trees_match_reference_recursion():
+    # materialized policies against the explicit recursion, per family
+    for family in FAMILIES:
+        for seed, inst, _ in instance_stream(12, base_seed=9300, max_n=5,
+                                             families=(family,)):
+            root = empty_partial(inst.n)
+            for build, reference in (
+                (mixed_greedy, reference_mixed_greedy),
+                (scenario_mixed_greedy_tree,
+                 reference_scenario_mixed_greedy_tree),
+            ):
+                traces: list = []
+                ref_traces: list = []
+                assert build(inst, traces=traces) == reference(
+                    inst, traces=ref_traces), (family, seed, build.__name__)
+                assert ({t.entry for t in traces}
+                        == {t.entry for t in ref_traces}), (family, seed)
+                assert len(traces) == len(ref_traces)
+                if traces:
+                    assert traces[0].entry == root
 
 
 def test_induced_instance_identity_and_restriction():
