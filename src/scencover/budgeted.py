@@ -12,6 +12,7 @@ optimum, where chi solves e^chi = 2 - chi.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -101,22 +102,40 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     return rest
 
 
+class Grid(Sequence):
+    """The points k*step for k in range(size), each made when indexed."""
+
+    def __init__(self, step: Fraction, size: int):
+        self.step, self.size = step, size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, k):
+        return range(self.size)[k] * self.step
+
+
 def budget_candidates(items, costs: CostVector, grid_bits: int = 20):
     """Finite candidate budgets: achieved greedy value is piecewise constant
     in the budget, changing only at subset sums of the item costs.
 
-    For more than 20 items the subset-sum set is replaced by a dyadic grid
-    over [0, sum of costs], refined to 2^-grid_bits of the total.
+    Up to 20 items the subset sums are added as integers in units of
+    1/lcm(cost denominators) and returned sorted as `Fraction`s.  For more
+    than 20 items the subset-sum set is replaced by a dyadic grid over
+    [0, sum of costs], refined to 2^-grid_bits of the total; it is a
+    `Grid`, whose points are made only when indexed.
     """
     items = list(items)
-    total = sum((costs[i] for i in items), Fraction(0))
     if len(items) <= 20:
-        sums = {Fraction(0)}
+        scale = math.lcm(*(costs[i].denominator for i in items))
+        sums = {0}
         for i in items:
-            sums |= {s + costs[i] for s in sums}
-        return sorted(sums)
-    step = total / (1 << grid_bits)
-    return [k * step for k in range((1 << grid_bits) + 1)]
+            c = costs[i].numerator * (scale // costs[i].denominator)
+            sums |= {s + c for s in sums}
+        unit = Fraction(1, scale)
+        return [k * unit for k in sorted(sums)]
+    total = sum((costs[i] for i in items), Fraction(0))
+    return Grid(total / (1 << grid_bits), (1 << grid_bits) + 1)
 
 
 def find_budget(items: Iterable[int], f: SetFunction, costs: CostVector,

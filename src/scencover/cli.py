@@ -30,8 +30,6 @@ from .mixedgreedy import (
 from .oracle import OracleBudgetError, optimal_tree
 from .serialize import (
     ParseError,
-    dumps_document,
-    emit_document,
     load_instance,
     save_instance,
     tree_to_document,
@@ -107,13 +105,16 @@ def cmd_solve(args) -> int:
         return EXIT_REFUSED
 
     cost = expected_cost(tree, instance)
+    validation = validate_tree(tree, instance)
     report = {
         "algorithm": args.algorithm,
         "expected_cost": _fraction_fields(cost),
         "goal": instance.goal,
-        "validation": validate_tree(tree, instance).status,
+        "validation": validation.status,
         "strategy": _strategy_document(tree, instance),
     }
+    if validation.status == "unchecked":
+        report["validation_reason"] = validation.violations[0]
     report.update(_progress_bound(instance)[1])
     if traces:
         report["root_budget"] = str(traces[0].budget)

@@ -362,7 +362,8 @@ def validate_tree(tree, instance: ScenarioInstance, scope: str = "all",
 
     scope="all" enumerates the full realization space; scope="sample"
     restricts the check to sample rows.  If the full space exceeds the
-    enumeration budget the report status is "unchecked", never a silent pass.
+    enumeration budget the report status is "unchecked", never a silent pass,
+    and its one message names the realization count and the budget.
     """
     g = instance.utility
     if scope == "sample":
@@ -371,7 +372,9 @@ def validate_tree(tree, instance: ScenarioInstance, scope: str = "all",
     elif scope == "all":
         count = len(instance.alphabet) ** instance.n
         if count > enumeration_budget:
-            return ValidationReport("unchecked", ("enumeration budget exceeded",), 0)
+            return ValidationReport("unchecked", (
+                "enumeration budget exceeded: %d realizations > %d"
+                % (count, enumeration_budget),), 0)
         space = enumerate_realizations(instance.alphabet, instance.n)
     else:
         raise PreconditionError("unknown scope %r" % scope)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    UNKNOWN,
     Leaf,
     Node,
     PreconditionError,

@@ -17,7 +17,6 @@ from .core import (
     StateAlphabet,
     WeightedSample,
     Leaf,
-    Node,
 )
 from .utility import (
     BINARY,

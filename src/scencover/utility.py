@@ -18,12 +18,10 @@ from .core import (
     PreconditionError,
     StateAlphabet,
     WeightedSample,
-    empty_partial,
     enumerate_partials,
     enumerate_realizations,
     extend,
     free_items,
-    is_full,
     set_items,
 )
 

@@ -1,10 +1,13 @@
 """Budgeted greedy maximization, its constants, and the budget search."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from scencover.budgeted import (
     ALPHA,
@@ -17,6 +20,7 @@ from scencover.budgeted import (
     wolsey_greedy,
 )
 from scencover.core import CostVector
+from scencover.generate import COST_POOL, random_set_function
 from scencover.oracle import optimal_budgeted
 from conftest import seeded_budgeted
 
@@ -105,6 +109,77 @@ def test_budget_candidates_are_subset_sums():
     assert budget_candidates([0, 1], costs) == [
         Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5, 2)
     ]
+
+
+def reference_subset_sums(items, costs):
+    """The candidate list as Fraction subset sums, sorted."""
+    sums = {Fraction(0)}
+    for i in items:
+        sums |= {s + costs[i] for s in sums}
+    return sorted(sums)
+
+
+rational_costs = st.one_of(
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 12)),
+    st.sampled_from(COST_POOL),
+)
+
+
+@given(st.lists(rational_costs, max_size=12))
+def test_budget_candidates_match_fraction_subset_sums(drawn):
+    costs = CostVector(tuple(drawn))
+    items = list(range(len(costs)))
+    candidates = budget_candidates(items, costs)
+    assert candidates == reference_subset_sums(items, costs)
+    assert all(type(c) is Fraction for c in candidates)
+
+
+@pytest.mark.parametrize("n", [21, 22, 23, 24])
+def test_budget_grid_points(n):
+    rng = random.Random(n)
+    costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
+    total = costs.total()
+    grid = budget_candidates(range(n), costs, grid_bits=3)
+    assert len(grid) == 9
+    # iteration stops at the first IndexError, so check that one first
+    with pytest.raises(IndexError):
+        grid[len(grid)]
+    with pytest.raises(IndexError):
+        grid[-len(grid) - 1]
+    assert grid[-1] == total and grid[-9] == 0
+    assert list(grid) == [k * total / 8 for k in range(9)]
+
+
+def test_budget_grid_is_not_materialised():
+    costs = CostVector(tuple(Fraction(i + 1, 3) for i in range(22)))
+    tracemalloc.start()
+    try:
+        grid = budget_candidates(range(22), costs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == (1 << 20) + 1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("seed,n", [(1, 21), (2, 21), (3, 22), (4, 22)])
+def test_find_budget_bisects_the_grid(seed, n):
+    # above 20 items the candidates are the grid total * k / 2^20; the
+    # search returns the first grid point at which the greedy is feasible
+    rng = random.Random(seed)
+    f = random_set_function(rng, n, universe_size=12)
+    costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
+    items = list(range(n))
+    step = costs.total() / (1 << 20)
+
+    def feasible(budget):
+        value = f(wolsey_greedy(items, f, costs, budget))
+        return value >= ALPHA * f(frozenset(items))
+
+    b = find_budget(items, f, costs)
+    assert (b / step).denominator == 1
+    assert feasible(b)
+    assert b == 0 or not feasible(b - step)
 
 
 def test_check_wolsey_bound_small():

@@ -241,6 +241,9 @@ def test_validate_unchecked_budget():
     inst = covering_instance(3)
     report = validate_tree(chain_tree(3, BINARY), inst, enumeration_budget=4)
     assert report.status == "unchecked"
+    assert report.violations == (
+        "enumeration budget exceeded: 8 realizations > 4",)
+    assert report.checked == 0
 
 
 def _all_partials(n):
