@@ -31,10 +31,8 @@ from .utility import (
     check_adaptive_submodular,
     check_monotone,
     check_submodular,
-    k_of_n_utility,
     marginal,
     min_progress_ratio,
-    or_combine,
     scenario_count_utility,
     scenario_weight_utility,
     worst_state,
@@ -82,7 +80,6 @@ from .mixedgreedy import (
 )
 from .adaptivegreedy import (
     AdaptiveGreedyStrategy,
-    adaptive_greedy,
     scenario_adaptive_greedy,
 )
 from .generate import random_instance, random_set_function

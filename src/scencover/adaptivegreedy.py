@@ -24,7 +24,9 @@ class AdaptiveGreedyStrategy(Strategy):
 
     On partial realizations with no consistent sample mass the conditional
     expectation is undefined; the policy then falls through to ascending
-    index order until the goal is reached.
+    index order until the goal is reached.  The approximation guarantee
+    needs the utility to be adaptive submodular w.r.t. the sample
+    distribution (not enforced; `check_adaptive_submodular` tests it).
     """
 
     def __init__(self, g: UtilityFunction, sample, costs):
@@ -51,13 +53,6 @@ class AdaptiveGreedyStrategy(Strategy):
             return total
 
         return best_ratio(frees, score, self.costs)
-
-
-def adaptive_greedy(g: UtilityFunction, sample, costs) -> AdaptiveGreedyStrategy:
-    """Greedy policy for the given utility; the approximation guarantee
-    needs the utility to be adaptive submodular w.r.t. the sample
-    distribution (not enforced; a checker is available)."""
-    return AdaptiveGreedyStrategy(g, sample, costs)
 
 
 def scenario_adaptive_greedy(instance: ScenarioInstance) -> SuffixedStrategy:

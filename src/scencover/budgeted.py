@@ -138,14 +138,12 @@ def budget_candidates(items, costs: CostVector, grid_bits: int = 20):
     return Grid(total / (1 << grid_bits), (1 << grid_bits) + 1)
 
 
-def find_budget(items: Iterable[int], f: SetFunction, costs: CostVector,
-                verify: bool = False) -> Fraction:
+def find_budget(items: Iterable[int], f: SetFunction,
+                costs: CostVector) -> Fraction:
     """Smallest candidate budget at which the greedy set reaches an alpha
     fraction of f over all items.
 
-    Binary search assumes the achieved value is monotone in the budget; with
-    `verify` set, all smaller candidates are re-checked and the search falls
-    back to a linear scan if the assumption fails.
+    Binary search assumes the achieved value is monotone in the budget.
     """
     items = sorted(items)
     full_value = f(frozenset(items))
@@ -166,11 +164,6 @@ def find_budget(items: Iterable[int], f: SetFunction, costs: CostVector,
             hi = mid
         else:
             lo = mid + 1
-    if verify:
-        for j in range(hi):
-            if feasible(candidates[j]):
-                # achieved value was not monotone in the budget
-                return candidates[j]
     return candidates[hi]
 
 

@@ -113,8 +113,6 @@ def cmd_solve(args) -> int:
         "validation": validation.status,
         "strategy": _strategy_document(tree, instance),
     }
-    if validation.status == "unchecked":
-        report["validation_reason"] = validation.violations[0]
     report.update(_progress_bound(instance)[1])
     if traces:
         report["root_budget"] = str(traces[0].budget)

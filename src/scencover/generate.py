@@ -16,7 +16,7 @@ from .core import (
 from .utility import (
     CoverageUtility,
     KOfNUtility,
-    or_combine,
+    OrUtility,
     scenario_count_utility,
     scenario_weight_utility,
 )
@@ -109,7 +109,7 @@ def random_instance(rng: random.Random, n: int = 4, num_states: int = 2,
     elif family == "or":
         u1, d1 = random_coverage_utility(rng, n, alphabet, universe_size)
         u2, d2 = random_coverage_utility(rng, n, alphabet, universe_size)
-        utility = or_combine(u1, u2)
+        utility = OrUtility(u1, u2)
         descriptor = {"kind": "or", "left": d1, "right": d2}
     elif family in ("g_S", "g_W"):
         inner, inner_desc = random_coverage_utility(rng, n, alphabet, universe_size)

@@ -22,8 +22,8 @@ from .utility import (
     BINARY,
     CoverageUtility,
     KOfNUtility,
+    OrUtility,
     TableUtility,
-    or_combine,
     scenario_count_utility,
     scenario_weight_utility,
 )
@@ -92,7 +92,7 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
     if kind == "or":
         left = build_utility(descriptor.get("left"), n, alphabet, sample)
         right = build_utility(descriptor.get("right"), n, alphabet, sample)
-        return or_combine(left, right)
+        return OrUtility(left, right)
     if kind == "table":
         # raw value table, mainly for counterexample files; keys are the
         # partial realization's entries joined by commas ("*" for unknown)

@@ -92,10 +92,6 @@ class OrUtility(UtilityFunction):
         return q1 * q2 - (q1 - self.left.value(b)) * (q2 - self.right.value(b))
 
 
-def or_combine(g1: UtilityFunction, g2: UtilityFunction) -> OrUtility:
-    return OrUtility(g1, g2)
-
-
 class CountEliminationUtility(UtilityFunction):
     """Number of sample rows ruled out by the observed states; goal m."""
 
@@ -122,22 +118,14 @@ class WeightEliminationUtility(UtilityFunction):
         return self.sample.total_weight - self.sample.weight_of(b)
 
 
-def count_elimination_utility(sample, n, alphabet) -> CountEliminationUtility:
-    return CountEliminationUtility(sample, n, alphabet)
-
-
-def weight_elimination_utility(sample, n, alphabet) -> WeightEliminationUtility:
-    return WeightEliminationUtility(sample, n, alphabet)
-
-
 def scenario_count_utility(g: UtilityFunction, sample: WeightedSample) -> OrUtility:
     """OR of g with the row-count elimination utility; goal Q*m."""
-    return or_combine(g, CountEliminationUtility(sample, g.n, g.alphabet))
+    return OrUtility(g, CountEliminationUtility(sample, g.n, g.alphabet))
 
 
 def scenario_weight_utility(g: UtilityFunction, sample: WeightedSample) -> OrUtility:
     """OR of g with the weight elimination utility; goal Q*W."""
-    return or_combine(g, WeightEliminationUtility(sample, g.n, g.alphabet))
+    return OrUtility(g, WeightEliminationUtility(sample, g.n, g.alphabet))
 
 
 BINARY = StateAlphabet(("0", "1"))
@@ -162,10 +150,6 @@ class KOfNUtility(UtilityFunction):
         ones = min(k, sum(1 for s in b if s == "1"))
         zeros = min(n - k + 1, sum(1 for s in b if s == "0"))
         return k * (n - k + 1) - (n - k + 1 - zeros) * (k - ones)
-
-
-def k_of_n_utility(n: int, k: int) -> KOfNUtility:
-    return KOfNUtility(n, k)
 
 
 class CoverageUtility(UtilityFunction):
@@ -312,7 +296,6 @@ class ProgressReport:
 
     ratio: Fraction
     witness: tuple  # (b, i, state)
-    restricted: bool = False  # True when enumeration was limited to the sample
 
     @property
     def floor(self) -> Fraction:
@@ -320,21 +303,13 @@ class ProgressReport:
         return min(self.ratio, PROGRESS_FLOOR)
 
 
-def min_progress_ratio(g: UtilityFunction, sample: WeightedSample | None = None
-                       ) -> ProgressReport:
-    """Minimize gain/(goal - value) over b, free i, and non-worst states.
-
-    With `sample` given, enumeration is restricted to partial realizations
-    consistent with at least one sample row; the result is then only a
-    lower-scope estimate and is flagged `restricted`.
-    """
+def min_progress_ratio(g: UtilityFunction) -> ProgressReport:
+    """Minimize gain/(goal - value) over b, free i, and non-worst states."""
     best = None
     witness = None
     for b in enumerate_partials(g.alphabet, g.n):
         gb = g.value(b)
         if gb >= g.goal:
-            continue
-        if sample is not None and sample.weight_of(b) == 0:
             continue
         remaining = g.goal - gb
         for i in free_items(b):
@@ -347,4 +322,4 @@ def min_progress_ratio(g: UtilityFunction, sample: WeightedSample | None = None
                     best, witness = ratio, (b, i, state)
     if best is None:
         raise PreconditionError("no valid (b, i, state) triple to minimize over")
-    return ProgressReport(best, witness, restricted=sample is not None)
+    return ProgressReport(best, witness)

@@ -7,7 +7,17 @@ reproduce exactly.
 import random
 from fractions import Fraction
 
-from scencover.core import CostVector, Leaf, Node, empty_partial, extend
+from scencover.core import (
+    CostVector,
+    Leaf,
+    Node,
+    StructureError,
+    ValidationReport,
+    empty_partial,
+    enumerate_realizations,
+    extend,
+    follow,
+)
 from scencover.generate import random_instance, random_set_function
 from scencover.mixedgreedy import combined_count_instance, invocation_plan
 from scencover.oracle import fixed_order_completion
@@ -108,3 +118,24 @@ def _complete_leaves(tree, g, b):
             for s, child in tree.children.items()
         },
     )
+
+
+def reference_validate_tree(tree, instance):
+    """Validation by running `follow` on every one of the states^n
+    realizations: the reference that `validate_tree`'s path walk must agree
+    with on status and on the realization count."""
+    g = instance.utility
+    violations = []
+    checked = 0
+    for a in enumerate_realizations(instance.alphabet, instance.n):
+        checked += 1
+        try:
+            _, terminal = follow(tree, a, instance.costs)
+        except StructureError as exc:
+            violations.append("realization %r: %s" % (a, exc))
+            continue
+        if g.value(terminal) != g.goal:
+            violations.append("realization %r: terminal %r below the goal"
+                              % (a, terminal))
+    status = "ok" if not violations else "violations"
+    return ValidationReport(status, tuple(violations), checked)

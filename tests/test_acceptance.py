@@ -47,8 +47,8 @@ from scencover.mixedgreedy import (
 from scencover.adaptivegreedy import scenario_adaptive_greedy
 from scencover.oracle import optimal_budgeted, optimal_schedule, optimal_tree
 from scencover.utility import (
+    KOfNUtility,
     check_adaptive_submodular,
-    k_of_n_utility,
     min_progress_ratio,
     scenario_count_utility,
     scenario_weight_utility,
@@ -220,7 +220,7 @@ def test_criterion_9_k_of_n_progress_floor():
     violations = []
     for n in range(1, 7):
         for k in range(1, n + 1):
-            g = k_of_n_utility(n, k)
+            g = KOfNUtility(n, k)
             try:
                 ratio = min_progress_ratio(g).ratio
             except PreconditionError:

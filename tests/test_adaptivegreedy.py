@@ -3,7 +3,10 @@
 import itertools
 from fractions import Fraction
 
-from scencover.adaptivegreedy import adaptive_greedy, scenario_adaptive_greedy
+from scencover.adaptivegreedy import (
+    AdaptiveGreedyStrategy,
+    scenario_adaptive_greedy,
+)
 from scencover.core import (
     UNKNOWN,
     CostVector,
@@ -36,7 +39,7 @@ def test_goal_at_start_yields_empty_strategy():
     table = {b: 1 for b in itertools.product(("0", "1", U), repeat=2)}
     g = TableUtility(table, 1, 2, BINARY)
     sample = WeightedSample(((("0", "0"), 1),))
-    strategy = adaptive_greedy(g, sample, unit_costs(2))
+    strategy = AdaptiveGreedyStrategy(g, sample, unit_costs(2))
     assert strategy.next_item(empty_partial(2)) is None
     assert materialize(strategy, BINARY, 2) == Leaf()
 
@@ -44,7 +47,7 @@ def test_goal_at_start_yields_empty_strategy():
 def test_single_item_chosen():
     g = KOfNUtility(1, 1)
     sample = WeightedSample(((("1",), 1),))
-    strategy = adaptive_greedy(g, sample, unit_costs(1))
+    strategy = AdaptiveGreedyStrategy(g, sample, unit_costs(1))
     assert strategy.next_item(empty_partial(1)) == 0
 
 

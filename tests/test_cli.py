@@ -129,10 +129,9 @@ def test_solve_skips_rho_above_check_space(tmp_path, monkeypatch):
     assert str(MAX_CHECK_SPACE) in report["rho_reason"]
     assert report["eta"] is None and report["ratio_ceiling"] is None
     assert report["expected_cost"]["exact"]
-    # 3^14 realizations exceed validate_tree's default enumeration budget
-    assert report["validation"] == "unchecked"
-    assert report["validation_reason"] == (
-        "enumeration budget exceeded: 4782969 realizations > 200000")
+    # all 3^14 realizations are validated by walking the tree's paths
+    assert report["validation"] == "ok"
+    assert "validation_reason" not in report
 
 
 def test_gen_determinism(tmp_path):

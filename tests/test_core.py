@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scencover.core import (
     UNKNOWN,
@@ -24,7 +24,9 @@ from scencover.core import (
     set_items,
     validate_tree,
 )
+from scencover.cli import _solve_tree
 from scencover.utility import BINARY, CoverageUtility, KOfNUtility, TableUtility
+from conftest import reference_validate_tree, seeded_instance
 
 U = UNKNOWN
 
@@ -237,13 +239,85 @@ def test_validate_single_leaf_failure():
     assert report.violations
 
 
-def test_validate_unchecked_budget():
-    inst = covering_instance(3)
-    report = validate_tree(chain_tree(3, BINARY), inst, enumeration_budget=4)
-    assert report.status == "unchecked"
-    assert report.violations == (
-        "enumeration budget exceeded: 8 realizations > 4",)
-    assert report.checked == 0
+def test_validate_large_space_walks_the_tree():
+    # 2^20 realizations and one query reaches the goal: the walk visits
+    # three nodes, and `checked` still counts every realization
+    n = 20
+    covers = {(0, s): frozenset({0}) for s in BINARY}
+    inst = ScenarioInstance(
+        CoverageUtility(covers, 1, n, BINARY),
+        WeightedSample(((("0",) * n, 1),)),
+        unit_costs(n),
+        BINARY,
+    )
+    report = validate_tree(Node(0, {s: Leaf() for s in BINARY}), inst)
+    assert report.status == "ok"
+    assert report.checked == 2 ** 20
+    report = validate_tree(Node(0, {"0": Leaf()}), inst)
+    assert report.status == "violations"
+    assert report.checked == 2 ** 20
+
+
+def test_validate_rejects_unknown_scope():
+    with pytest.raises(PreconditionError):
+        validate_tree(Leaf(), covering_instance(1), scope="sample")
+
+
+def tree_sites(tree, path=(), items=()):
+    """(path of child keys, subtree, items queried above) for every subtree."""
+    yield path, tree, items
+    if isinstance(tree, Node):
+        for s, child in tree.children.items():
+            yield from tree_sites(child, path + (s,), items + (tree.item,))
+
+
+def replaced(tree, path, make):
+    """Copy of the tree with the subtree at `path` swapped for make(subtree)."""
+    if not path:
+        return make(tree)
+    children = dict(tree.children)
+    children[path[0]] = replaced(children[path[0]], path[1:], make)
+    return Node(tree.item, children)
+
+
+def mutate(tree, mutation, inst, data):
+    """The tree with one defect planted at a drawn site, or unchanged if no
+    site fits the mutation."""
+    sites = [(path, items) for path, t, items in tree_sites(tree)
+             if mutation == "non_node" or isinstance(t, Node)]
+    if mutation == "repeat":
+        sites = [(path, items) for path, items in sites if items]
+    if mutation == "none" or not sites:
+        return tree
+    path, items = data.draw(st.sampled_from(sites))
+    if mutation == "drop_child":
+        gone = data.draw(st.sampled_from(inst.alphabet.states))
+        return replaced(tree, path, lambda t: Node(
+            t.item, {s: c for s, c in t.children.items() if s != gone}))
+    if mutation == "repeat":
+        again = data.draw(st.sampled_from(items))
+        return replaced(tree, path, lambda t: Node(again, t.children))
+    if mutation == "extra_child":
+        return replaced(tree, path, lambda t: Node(
+            t.item, {**t.children, "x": "not a node"}))
+    if mutation == "cut":
+        return replaced(tree, path, lambda t: Leaf())
+    return replaced(tree, path, lambda t: "not a node")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(("mixed", "scenario-mixed", "scenario-adaptive", "optimal")),
+       st.sampled_from(("none", "drop_child", "repeat", "extra_child", "cut",
+                        "non_node")),
+       st.data())
+def test_validate_matches_enumeration(seed, solver, mutation, data):
+    inst, _ = seeded_instance(seed, max_n=5, max_states=3)
+    tree = mutate(_solve_tree(inst, solver)[0], mutation, inst, data)
+    report = validate_tree(tree, inst)
+    reference = reference_validate_tree(tree, inst)
+    assert (report.status, report.checked) == (reference.status, reference.checked)
+    assert bool(report.violations) == (report.status == "violations")
 
 
 def _all_partials(n):

@@ -17,20 +17,19 @@ from scencover.core import (
 )
 from scencover.utility import (
     BINARY,
+    CountEliminationUtility,
     CoverageUtility,
     KOfNUtility,
+    OrUtility,
     TableUtility,
+    WeightEliminationUtility,
     check_adaptive_submodular,
     check_monotone,
     check_submodular,
-    count_elimination_utility,
-    k_of_n_utility,
     marginal,
     min_progress_ratio,
-    or_combine,
     scenario_count_utility,
     scenario_weight_utility,
-    weight_elimination_utility,
     worst_state,
 )
 from conftest import instance_stream
@@ -92,8 +91,8 @@ def test_worst_state_rewarding_one():
 
 def test_or_combine_values():
     g1 = KOfNUtility(2, 1)  # Q1 = 2
-    g2 = count_elimination_utility(SAMPLE, 2, BINARY)  # Q2 = 3
-    g = or_combine(g1, g2)
+    g2 = CountEliminationUtility(SAMPLE, 2, BINARY)  # Q2 = 3
+    g = OrUtility(g1, g2)
     assert g.goal == 6
     for b in enumerate_partials(BINARY, 2):
         v1, v2 = g1.value(b), g2.value(b)
@@ -109,7 +108,7 @@ def test_or_combine_values():
 
 
 def test_count_elimination():
-    h = count_elimination_utility(SAMPLE, 2, BINARY)
+    h = CountEliminationUtility(SAMPLE, 2, BINARY)
     assert h.goal == 3
     assert h.value((U, U)) == 0
     assert h.value(("0", U)) == 1  # 3 rows - 2 consistent
@@ -117,7 +116,7 @@ def test_count_elimination():
 
 
 def test_weight_elimination():
-    h = weight_elimination_utility(SAMPLE, 2, BINARY)
+    h = WeightEliminationUtility(SAMPLE, 2, BINARY)
     assert h.goal == 6
     assert h.value((U, U)) == 0
     assert h.value(("0", U)) == 3  # 6 - 3
@@ -128,8 +127,8 @@ def test_scenario_combinations_compose():
     g = KOfNUtility(2, 1)
     gs = scenario_count_utility(g, SAMPLE)
     gw = scenario_weight_utility(g, SAMPLE)
-    hs = count_elimination_utility(SAMPLE, 2, BINARY)
-    hw = weight_elimination_utility(SAMPLE, 2, BINARY)
+    hs = CountEliminationUtility(SAMPLE, 2, BINARY)
+    hw = WeightEliminationUtility(SAMPLE, 2, BINARY)
     assert gs.goal == 2 * 3 and gw.goal == 2 * 6
     for b in enumerate_partials(BINARY, 2):
         assert gs.value(b) == 6 - (2 - g.value(b)) * (3 - hs.value(b))
@@ -137,19 +136,19 @@ def test_scenario_combinations_compose():
 
 
 def test_k_of_n_values():
-    g = k_of_n_utility(3, 2)
+    g = KOfNUtility(3, 2)
     assert g.goal == 4
     assert g.value(("1", "1", U)) == 4
     assert g.value((U, U, U)) == 0
     assert g.value(("0", "0", U)) == 4  # two zeros reach n-k+1
     with pytest.raises(PreconditionError):
-        k_of_n_utility(3, 0)
+        KOfNUtility(3, 0)
     with pytest.raises(PreconditionError):
-        k_of_n_utility(3, 4)
+        KOfNUtility(3, 4)
 
 
 def test_check_monotone():
-    assert check_monotone(count_elimination_utility(SAMPLE, 2, BINARY)).ok
+    assert check_monotone(CountEliminationUtility(SAMPLE, 2, BINARY)).ok
     assert check_monotone(constant_utility(2)).ok
     # count of unknown entries is anti-monotone
     table = {b: sum(1 for s in b if s == U)
@@ -163,8 +162,8 @@ def test_check_monotone():
 
 def test_check_submodular():
     assert check_submodular(KOfNUtility(3, 2)).ok
-    g = or_combine(
-        KOfNUtility(2, 1), count_elimination_utility(SAMPLE, 2, BINARY)
+    g = OrUtility(
+        KOfNUtility(2, 1), CountEliminationUtility(SAMPLE, 2, BINARY)
     )
     assert check_submodular(g).ok
     # value 1 only when both items observed at "1": supermodular
@@ -236,12 +235,6 @@ def test_min_progress_ratio_matches_brute_force():
             continue
         assert report.ratio == _brute_rho(inst.utility)
         assert 0 <= report.ratio <= 1
-
-
-def test_min_progress_ratio_restricted_flag():
-    g = KOfNUtility(2, 1)
-    report = min_progress_ratio(g, sample=SAMPLE)
-    assert report.restricted
 
 
 def test_goal_verification():
