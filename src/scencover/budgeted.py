@@ -58,13 +58,16 @@ def best_ratio(items: Iterable[int], gain: Callable[[int], "int | Fraction"],
 
     Every greedy choice in the package goes through here, so this function
     owns the tie-break: ratios are compared as exact cross-products
-    gain(i)*cost(j) > gain(j)*cost(i), and the strict > keeps the first
-    maximizer in `items` order (the lowest index when `items` is sorted).
+    gain(i)*units[j] > gain(j)*units[i] over the integer cost units
+    (`CostVector.units`), which order every pair as the `Fraction` costs
+    do, and the strict > keeps the first maximizer in `items` order (the
+    lowest index when `items` is sorted).
     """
+    units = costs.units
     best = best_gain = None
     for i in items:
         g = gain(i)
-        if best is None or g * costs[best] > best_gain * costs[i]:
+        if best is None or g * units[best] > best_gain * units[i]:
             best, best_gain = i, g
     return best
 
@@ -77,23 +80,28 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     spent exceeds the budget or candidates run out, then returns the better
     of {last item} and the picked set minus the last item.  Ties break on the
     lowest item index.  Returns the empty set if nothing is affordable.
+
+    Costs are compared in integer units: for an integer s of units,
+    s <= budget*L and s > budget*L hold exactly when they hold against
+    floor(budget*L), with L = `costs.scale`.
     """
-    budget = Fraction(budget)
-    eligible = sorted(i for i in items if costs[i] <= budget)
+    units = costs.units
+    cap = math.floor(Fraction(budget) * costs.scale)
+    eligible = sorted(i for i in items if units[i] <= cap)
     if not eligible:
         return frozenset()
     chosen: list[int] = []
-    spent = Fraction(0)
+    spent = 0
     current = frozenset()
     base = f(current)
     while True:
         best = best_ratio(eligible, lambda i: f(current | {i}) - base, costs)
         chosen.append(best)
         eligible.remove(best)
-        spent += costs[best]
+        spent += units[best]
         current = current | {best}
         base = f(current)
-        if spent > budget or not eligible:
+        if spent > cap or not eligible:
             break
     last = chosen[-1]
     rest = current - {last}
@@ -116,42 +124,49 @@ class Grid(Sequence):
 
 
 def budget_candidates(items, costs: CostVector, grid_bits: int = 20):
-    """Finite candidate budgets: achieved greedy value is piecewise constant
-    in the budget, changing only at subset sums of the item costs.
+    """Finite candidate budgets, in units of 1/`costs.scale` (candidate k
+    is the budget `Fraction(k, costs.scale)`): achieved greedy value is
+    piecewise constant in the budget, changing only at subset sums of the
+    item costs.
 
-    Up to 20 items the subset sums are added as integers in units of
-    1/lcm(cost denominators) and returned sorted as `Fraction`s.  For more
-    than 20 items the subset-sum set is replaced by a dyadic grid over
-    [0, sum of costs], refined to 2^-grid_bits of the total; it is a
-    `Grid`, whose points are made only when indexed.
+    Up to 20 items the candidates are the subset sums of `costs.units`,
+    sorted ints.  For more than 20 items the subset-sum set is replaced by
+    a dyadic grid over [0, total units], refined to 2^-grid_bits of the
+    total; it is a `Grid`, whose points are made only when indexed.
     """
     items = list(items)
+    units = costs.units
     if len(items) <= 20:
-        scale = math.lcm(*(costs[i].denominator for i in items))
         sums = {0}
         for i in items:
-            c = costs[i].numerator * (scale // costs[i].denominator)
+            c = units[i]
             sums |= {s + c for s in sums}
-        unit = Fraction(1, scale)
-        return [k * unit for k in sorted(sums)]
-    total = sum((costs[i] for i in items), Fraction(0))
-    return Grid(total / (1 << grid_bits), (1 << grid_bits) + 1)
+        return sorted(sums)
+    total = sum(units[i] for i in items)
+    return Grid(Fraction(total, 1 << grid_bits), (1 << grid_bits) + 1)
 
 
 def find_budget(items: Iterable[int], f: SetFunction,
                 costs: CostVector) -> Fraction:
-    """Smallest candidate budget at which the greedy set reaches an alpha
-    fraction of f over all items.
+    """A candidate budget at which the greedy set reaches an alpha fraction
+    of f over all items, found by bisection over `budget_candidates`.
 
-    Binary search assumes the achieved value is monotone in the budget.
+    The greedy value need not be monotone in the budget, so this is not
+    always the smallest such candidate.  What the bisection guarantees: the
+    returned budget is feasible, and the candidate just below it (if any)
+    is not.  Candidates stay in integer units during the search, each probe
+    runs `wolsey_greedy` at the budget `Fraction(k, costs.scale)`, and that
+    `Fraction` is returned.
     """
     items = sorted(items)
     full_value = f(frozenset(items))
     if full_value <= 0:
         raise PreconditionError("set function must be positive on all items")
     target_num = ALPHA * full_value
+    scale = costs.scale
 
-    def feasible(budget):
+    def feasible(k):
+        budget = Fraction(k, scale)
         return f(wolsey_greedy(items, f, costs, budget)) >= target_num
 
     candidates = budget_candidates(items, costs)
@@ -164,14 +179,4 @@ def find_budget(items: Iterable[int], f: SetFunction,
             hi = mid
         else:
             lo = mid + 1
-    return candidates[hi]
-
-
-def check_wolsey_bound(items, f: SetFunction, costs: CostVector,
-                       budget: Fraction) -> bool:
-    """Greedy value >= alpha * exhaustive optimum within the budget."""
-    from .oracle import optimal_budgeted
-
-    _, opt_value = optimal_budgeted(items, f, costs, budget)
-    greedy_value = f(wolsey_greedy(items, f, costs, budget))
-    return greedy_value >= ALPHA * opt_value
+    return Fraction(candidates[hi], scale)

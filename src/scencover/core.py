@@ -2,6 +2,8 @@
 
 All arithmetic is exact: weights are positive integers, costs are positive
 `Fraction`s, so every probability and expected cost is an exact rational.
+A `CostVector` also carries its costs as integers in a common unit, which
+the greedy layer compares instead of the `Fraction`s.
 Everything in this module is immutable after construction and all operations
 are pure functions of their inputs.
 
@@ -12,6 +14,7 @@ CLI is 1-based (see `scencover.serialize`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,10 +80,6 @@ def free_items(b: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(b) if s == UNKNOWN)
 
 
-def is_full(b: tuple[str, ...]) -> bool:
-    return UNKNOWN not in b
-
-
 def extend(b: tuple[str, ...], i: int, state: str) -> tuple[str, ...]:
     """Return b with position i set to `state`.  Position i must be unknown."""
     if not 0 <= i < len(b):
@@ -88,13 +87,6 @@ def extend(b: tuple[str, ...], i: int, state: str) -> tuple[str, ...]:
     if b[i] != UNKNOWN:
         raise PreconditionError("position %d is already set to %r" % (i, b[i]))
     return b[:i] + (state,) + b[i + 1 :]
-
-
-def is_extension(b2: tuple[str, ...], b1: tuple[str, ...]) -> bool:
-    """True iff b2 agrees with b1 on every observed position of b1."""
-    if len(b2) != len(b1):
-        raise PreconditionError("length mismatch: %d vs %d" % (len(b2), len(b1)))
-    return all(s1 == UNKNOWN or s1 == s2 for s1, s2 in zip(b1, b2))
 
 
 def enumerate_realizations(alphabet: StateAlphabet, n: int):
@@ -207,16 +199,30 @@ class WeightedSample:
 
 @dataclass(frozen=True)
 class CostVector:
-    """Positive exact rational cost per item."""
+    """Positive exact rational cost per item.
+
+    Construction also scales the costs to integers: `scale` is L, the lcm of
+    the cost denominators, and `units[i]` is cost i times L, a positive int.
+    Multiplying every cost by the same L > 0 keeps every sum and every
+    cross-product comparison in order, so the greedy layer works on `units`
+    and makes a `Fraction` only where a cost leaves it (k units are
+    `Fraction(k, scale)`).
+    """
 
     costs: tuple[Fraction, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    units: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "costs", tuple(Fraction(c) for c in self.costs)
-        )
-        if any(c <= 0 for c in self.costs):
+        costs = tuple(Fraction(c) for c in self.costs)
+        if any(c <= 0 for c in costs):
             raise PreconditionError("all costs must be positive")
+        scale = math.lcm(*(c.denominator for c in costs))
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "units", tuple(
+            c.numerator * (scale // c.denominator) for c in costs
+        ))
 
     def __getitem__(self, i: int) -> Fraction:
         return self.costs[i]

@@ -150,7 +150,13 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         return g.value(cur) - gb
 
     budget = find_budget(frees, functools.cache(anchored_gain), costs)
-    eligible = sorted(i for i in frees if costs[i] <= budget)
+    # the budget in integer cost units: for an int s, s <= budget*L iff
+    # s <= floor(budget*L), and s >= budget*L iff s >= ceil(budget*L); grid
+    # budgets (above 20 items) need not be whole units
+    units = costs.units
+    fits = math.floor(budget * costs.scale)
+    spends = math.ceil(budget * costs.scale)
+    eligible = sorted(i for i in frees if units[i] <= fits)
 
     cur = b  # b anchored on every item picked so far
     chosen: frozenset = frozenset()  # those items, the stage-1 argument
@@ -160,15 +166,15 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         goal is met, or no eligible item is left (tested in that order)."""
         nonlocal cur, chosen
         picked: list[int] = []
-        spent = Fraction(0)
+        spent = 0  # in cost units
         while True:
             best = best_ratio(eligible, gain, costs)
             picked.append(best)
             eligible.remove(best)
             chosen = chosen | {best}
-            spent += costs[best]
+            spent += units[best]
             cur = extend(cur, best, sigma[best])
-            if spent >= budget:
+            if spent >= spends:
                 return tuple(picked), "budget"
             if g.value(cur) == g.goal:
                 return tuple(picked), "goal"

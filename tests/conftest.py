@@ -4,23 +4,35 @@ Everything is derived deterministically from small integer seeds so failures
 reproduce exactly.
 """
 
+import functools
 import random
 from fractions import Fraction
 
+from scencover.budgeted import ALPHA, Grid, wolsey_greedy
 from scencover.core import (
+    UNKNOWN,
     CostVector,
     Leaf,
     Node,
+    PreconditionError,
     StructureError,
     ValidationReport,
     empty_partial,
     enumerate_realizations,
     extend,
     follow,
+    free_items,
 )
 from scencover.generate import random_instance, random_set_function
-from scencover.mixedgreedy import combined_count_instance, invocation_plan
-from scencover.oracle import fixed_order_completion
+from scencover.mixedgreedy import (
+    InvocationTrace,
+    combined_count_instance,
+    invocation_plan,
+    weight_removal_function,
+    worst_case_realization,
+)
+from scencover.oracle import fixed_order_completion, optimal_budgeted
+from scencover.utility import marginal
 
 FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
@@ -139,3 +151,150 @@ def reference_validate_tree(tree, instance):
                               % (a, terminal))
     status = "ok" if not violations else "violations"
     return ValidationReport(status, tuple(violations), checked)
+
+
+def is_extension(b2, b1):
+    """True iff b2 agrees with b1 on every observed position of b1."""
+    if len(b2) != len(b1):
+        raise PreconditionError("length mismatch: %d vs %d" % (len(b2), len(b1)))
+    return all(s1 == UNKNOWN or s1 == s2 for s1, s2 in zip(b1, b2))
+
+
+def check_wolsey_bound(items, f, costs, budget):
+    """Greedy value >= alpha * exhaustive optimum within the budget."""
+    _, opt_value = optimal_budgeted(items, f, costs, budget)
+    greedy_value = f(wolsey_greedy(items, f, costs, budget))
+    return greedy_value >= ALPHA * opt_value
+
+
+# The greedy layer with `Fraction` costs: the references that the integer
+# cost units (`CostVector.units`) must reproduce exactly.
+
+def reference_best_ratio(items, gain, costs):
+    """Best gain per cost by `Fraction` cross-products, first maximizer."""
+    best = best_gain = None
+    for i in items:
+        g = gain(i)
+        if best is None or g * costs[best] > best_gain * costs[i]:
+            best, best_gain = i, g
+    return best
+
+
+def reference_wolsey_greedy(items, f, costs, budget):
+    """Wolsey's greedy with `Fraction` eligibility and spent cost."""
+    budget = Fraction(budget)
+    eligible = sorted(i for i in items if costs[i] <= budget)
+    if not eligible:
+        return frozenset()
+    chosen = []
+    spent = Fraction(0)
+    current = frozenset()
+    base = f(current)
+    while True:
+        best = reference_best_ratio(
+            eligible, lambda i: f(current | {i}) - base, costs)
+        chosen.append(best)
+        eligible.remove(best)
+        spent += costs[best]
+        current = current | {best}
+        base = f(current)
+        if spent > budget or not eligible:
+            break
+    last = chosen[-1]
+    rest = current - {last}
+    if f(frozenset({last})) >= f(rest):
+        return frozenset({last})
+    return rest
+
+
+def reference_budget_candidates(items, costs, grid_bits=20):
+    """The candidate budgets as `Fraction`s: sorted subset sums up to 20
+    items, the grid total * k / 2^grid_bits above."""
+    items = list(items)
+    if len(items) <= 20:
+        sums = {Fraction(0)}
+        for i in items:
+            sums |= {s + costs[i] for s in sums}
+        return sorted(sums)
+    total = sum((costs[i] for i in items), Fraction(0))
+    return Grid(total / (1 << grid_bits), (1 << grid_bits) + 1)
+
+
+def reference_find_budget(items, f, costs):
+    """Bisection over the `Fraction` candidates with the reference greedy."""
+    items = sorted(items)
+    full_value = f(frozenset(items))
+    if full_value <= 0:
+        raise PreconditionError("set function must be positive on all items")
+    target_num = ALPHA * full_value
+
+    def feasible(budget):
+        return f(reference_wolsey_greedy(items, f, costs, budget)) >= target_num
+
+    candidates = reference_budget_candidates(items, costs)
+    if not feasible(candidates[-1]):
+        raise PreconditionError("no budget up to the total cost suffices")
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[hi]
+
+
+def reference_invocation_plan(instance, b):
+    """One invocation with `Fraction` budget, eligibility and spent cost."""
+    g = instance.utility
+    costs = instance.costs
+    gb = g.value(b)
+    frees = free_items(b)
+    sigma = worst_case_realization(g, b)
+
+    def anchored_gain(u):
+        cur = b
+        for i in u:
+            cur = extend(cur, i, sigma[i])
+        return g.value(cur) - gb
+
+    budget = reference_find_budget(frees, functools.cache(anchored_gain), costs)
+    eligible = sorted(i for i in frees if costs[i] <= budget)
+    cur = b
+    chosen = frozenset()
+
+    def stage(gain):
+        nonlocal cur, chosen
+        picked = []
+        spent = Fraction(0)
+        while True:
+            best = reference_best_ratio(eligible, gain, costs)
+            picked.append(best)
+            eligible.remove(best)
+            chosen = chosen | {best}
+            spent += costs[best]
+            cur = extend(cur, best, sigma[best])
+            if spent >= budget:
+                return tuple(picked), "budget"
+            if g.value(cur) == g.goal:
+                return tuple(picked), "goal"
+            if not eligible:
+                return tuple(picked), "exhausted"
+
+    if instance.sample.weight_of(b) == 0:
+        stage1, stage1_exit = (), "skipped"
+    else:
+        h = functools.cache(weight_removal_function(instance, b, sigma))
+        stage1, stage1_exit = stage(lambda i: h(chosen | {i}) - h(chosen))
+    if stage1_exit == "goal":
+        stage2, stage2_exit = (), "skipped"
+    elif not eligible:
+        stage2, stage2_exit = (), "empty"
+    else:
+        stage2, stage2_exit = stage(lambda i: marginal(g, cur, i, sigma[i]))
+    return InvocationTrace(
+        entry=b, sigma=sigma, budget=budget,
+        stage1_items=stage1, stage2_items=stage2,
+        stage1_exit=stage1_exit, stage2_exit=stage2_exit,
+        final=cur, entry_value=gb, final_value=g.value(cur),
+    )

@@ -17,7 +17,6 @@ from scencover.core import (
     expected_cost,
     extend,
     follow,
-    is_extension,
     validate_tree,
 )
 from scencover.generate import random_set_function
@@ -53,7 +52,12 @@ from scencover.utility import (
     scenario_count_utility,
     scenario_weight_utility,
 )
-from conftest import instance_stream, reference_mixed_greedy, seeded_budgeted
+from conftest import (
+    instance_stream,
+    is_extension,
+    reference_mixed_greedy,
+    seeded_budgeted,
+)
 
 BASE_FAMILIES = ("coverage", "k_of_n", "or")
 

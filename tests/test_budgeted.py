@@ -7,22 +7,29 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from scencover.budgeted import (
     ALPHA,
     CHI_TOLERANCE,
     PreconditionError,
+    best_ratio,
     budget_candidates,
-    check_wolsey_bound,
     find_budget,
     solve_chi,
     wolsey_greedy,
 )
 from scencover.core import CostVector
-from scencover.generate import COST_POOL, random_set_function
+from scencover.generate import COST_POOL, BitmaskCoverage, random_set_function
 from scencover.oracle import optimal_budgeted
-from conftest import seeded_budgeted
+from conftest import (
+    check_wolsey_bound,
+    reference_best_ratio,
+    reference_budget_candidates,
+    reference_find_budget,
+    reference_wolsey_greedy,
+    seeded_budgeted,
+)
 
 
 def additive(values):
@@ -89,12 +96,15 @@ def test_find_budget_rejects_zero_function():
 
 
 def test_find_budget_first_feasible_candidate():
-    # the bisection assumes the greedy value is monotone in the budget; a
-    # linear scan over the candidates must find the same budget
+    # on these problems the greedy value is monotone in the budget (not so
+    # in general, see test_find_budget_is_not_always_the_smallest), so a
+    # linear scan over the candidates must find the bisection's budget
     for seed in range(100):
         items, f, costs, _ = seeded_budgeted(seed, max_items=7)
         target = ALPHA * f(frozenset(items))
-        first = next(c for c in budget_candidates(items, costs)
+        budgets = (Fraction(k, costs.scale)
+                   for k in budget_candidates(items, costs))
+        first = next(c for c in budgets
                      if f(wolsey_greedy(items, f, costs, c)) >= target)
         assert find_budget(items, f, costs) == first
 
@@ -109,17 +119,12 @@ def test_find_budget_achieves_target():
 
 def test_budget_candidates_are_subset_sums():
     costs = CostVector((Fraction(1), Fraction(3, 2)))
-    assert budget_candidates([0, 1], costs) == [
+    assert costs.scale == 2 and costs.units == (2, 3)
+    candidates = budget_candidates([0, 1], costs)
+    assert candidates == [0, 2, 3, 5]
+    assert [Fraction(k, costs.scale) for k in candidates] == [
         Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5, 2)
     ]
-
-
-def reference_subset_sums(items, costs):
-    """The candidate list as Fraction subset sums, sorted."""
-    sums = {Fraction(0)}
-    for i in items:
-        sums |= {s + costs[i] for s in sums}
-    return sorted(sums)
 
 
 rational_costs = st.one_of(
@@ -133,8 +138,111 @@ def test_budget_candidates_match_fraction_subset_sums(drawn):
     costs = CostVector(tuple(drawn))
     items = list(range(len(costs)))
     candidates = budget_candidates(items, costs)
-    assert candidates == reference_subset_sums(items, costs)
-    assert all(type(c) is Fraction for c in candidates)
+    reference = reference_budget_candidates(items, costs)
+    assert all(type(k) is int for k in candidates)
+    assert len(candidates) == len(reference)
+    for k, c in zip(candidates, reference):
+        assert Fraction(k, costs.scale) == c
+
+
+@st.composite
+def budget_problems(draw, min_items=0):
+    """(costs, f): up to 12 rational costs and a weighted coverage f."""
+    costs = draw(st.lists(rational_costs, min_size=min_items, max_size=12))
+    universe = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(1, 9), min_size=universe,
+                            max_size=universe))
+    masks = draw(st.lists(st.integers(1, (1 << universe) - 1),
+                          min_size=len(costs), max_size=len(costs)))
+    return CostVector(tuple(costs)), BitmaskCoverage(masks, weights)
+
+
+gains = st.one_of(st.integers(-20, 60),
+                  st.fractions(-20, 60, max_denominator=12))
+
+
+@given(st.lists(st.tuples(rational_costs, gains), max_size=12), st.randoms())
+def test_best_ratio_matches_fraction_reference(pairs, rnd):
+    costs = CostVector(tuple(c for c, _ in pairs))
+    gain = [g for _, g in pairs].__getitem__
+    items = list(range(len(pairs)))
+    rnd.shuffle(items)
+    assert (best_ratio(items, gain, costs)
+            == reference_best_ratio(items, gain, costs))
+
+
+@given(budget_problems(), st.data())
+def test_wolsey_greedy_matches_fraction_reference(problem, data):
+    # budgets anywhere, and at subset sums and just either side of them,
+    # where eligibility and the overshoot test change
+    costs, f = problem
+    items = list(range(len(costs)))
+    picked = data.draw(st.lists(st.booleans(), min_size=len(items),
+                                max_size=len(items)))
+    near_sum = sum((costs[i] for i, p in zip(items, picked) if p),
+                   Fraction(0)) + data.draw(
+        st.sampled_from([Fraction(-1, 997), Fraction(0), Fraction(1, 997)]))
+    anywhere = data.draw(st.fractions(-1, math.ceil(costs.total()) + 1,
+                                      max_denominator=100))
+    for budget in (near_sum, anywhere):
+        assert (wolsey_greedy(items, f, costs, budget)
+                == reference_wolsey_greedy(items, f, costs, budget))
+
+
+@given(budget_problems())
+def test_find_budget_matches_fraction_reference(problem):
+    costs, f = problem
+    items = list(range(len(costs)))
+    if not items:
+        for search in (find_budget, reference_find_budget):
+            with pytest.raises(PreconditionError):
+                search(items, f, costs)
+        return
+    budget = find_budget(items, f, costs)
+    assert type(budget) is Fraction
+    assert budget == reference_find_budget(items, f, costs)
+
+
+# the greedy set reaches the target at budget 1 ({4}), misses it at 3/2
+# ({1}) and reaches it again from 2 on; the bisection probes 3, then 3/2,
+# and returns 2, not the smallest feasible budget 1
+NON_MONOTONE = (
+    CostVector((Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(3, 2),
+                Fraction(1))),
+    BitmaskCoverage([11, 24, 20, 18, 26], [9, 4, 7, 8, 1]),
+)
+
+
+@given(budget_problems(min_items=1))
+@example(problem=NON_MONOTONE)
+def test_find_budget_feasible_and_previous_candidate_is_not(problem):
+    # what the bisection guarantees whether or not the greedy value is
+    # monotone in the budget
+    costs, f = problem
+    items = list(range(len(costs)))
+    target = ALPHA * f(frozenset(items))
+
+    def feasible(budget):
+        return f(wolsey_greedy(items, f, costs, budget)) >= target
+
+    budget = find_budget(items, f, costs)
+    candidates = [Fraction(k, costs.scale)
+                  for k in budget_candidates(items, costs)]
+    k = candidates.index(budget)
+    assert feasible(budget)
+    assert k == 0 or not feasible(candidates[k - 1])
+
+
+def test_find_budget_is_not_always_the_smallest():
+    costs, f = NON_MONOTONE
+    items = list(range(len(costs)))
+    target = ALPHA * f(frozenset(items))
+    feasible = [Fraction(k, costs.scale)
+                for k in budget_candidates(items, costs)
+                if f(wolsey_greedy(items, f, costs,
+                                   Fraction(k, costs.scale))) >= target]
+    assert feasible[0] == 1
+    assert find_budget(items, f, costs) == 2
 
 
 @pytest.mark.parametrize("n", [21, 22, 23, 24])
@@ -149,8 +257,10 @@ def test_budget_grid_points(n):
         grid[len(grid)]
     with pytest.raises(IndexError):
         grid[-len(grid) - 1]
-    assert grid[-1] == total and grid[-9] == 0
-    assert list(grid) == [k * total / 8 for k in range(9)]
+    assert grid[-1] == sum(costs.units) and grid[-9] == 0
+    assert [Fraction(k, costs.scale) for k in grid] == [
+        k * total / 8 for k in range(9)
+    ]
 
 
 def test_budget_grid_is_not_materialised():

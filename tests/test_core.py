@@ -20,13 +20,12 @@ from scencover.core import (
     extend,
     follow,
     free_items,
-    is_extension,
     set_items,
     validate_tree,
 )
 from scencover.cli import _solve_tree
 from scencover.utility import BINARY, CoverageUtility, KOfNUtility, TableUtility
-from conftest import reference_validate_tree, seeded_instance
+from conftest import is_extension, reference_validate_tree, seeded_instance
 
 U = UNKNOWN
 

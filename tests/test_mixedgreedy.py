@@ -1,9 +1,11 @@
 """The two-stage backbone tree builder, its online form, and the audits."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scencover.core import (
     UNKNOWN,
@@ -19,7 +21,6 @@ from scencover.core import (
     extend,
     follow,
     free_items,
-    is_extension,
     validate_tree,
 )
 from scencover.mixedgreedy import (
@@ -38,11 +39,14 @@ from scencover.mixedgreedy import (
     weight_removal_function,
     worst_case_realization,
 )
+from scencover.generate import random_instance
 from scencover.oracle import optimal_tree
 from scencover.utility import BINARY, KOfNUtility, TableUtility, worst_state
 from conftest import (
     FAMILIES,
     instance_stream,
+    is_extension,
+    reference_invocation_plan,
     reference_mixed_greedy,
     reference_scenario_mixed_greedy_tree,
 )
@@ -148,6 +152,37 @@ def test_invocation_backbone_items_within_budget():
                 spent = sum((inst.costs[i] for i in trace.stage1_items),
                             Fraction(0))
                 assert spent >= trace.budget
+
+
+def test_invocation_traces_match_fraction_reference():
+    # every invocation of every tree, with budgets at subset sums
+    for family in FAMILIES:
+        for seed, inst, _ in instance_stream(10, base_seed=4400, max_n=6,
+                                             families=(family,)):
+            traces: list = []
+            mixed_greedy(inst, traces=traces)
+            for trace in traces:
+                reference = reference_invocation_plan(inst, trace.entry)
+                assert trace == reference, (family, seed, trace.entry)
+                assert type(trace.budget) is Fraction
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(21, 22), st.integers(0, 2**32 - 1),
+       st.sampled_from(("coverage", "k_of_n", "g_W")))
+@example(n=21, seed=0, family="coverage")  # rounding the exit down breaks it
+def test_grid_invocation_matches_fraction_reference(n, seed, family):
+    # above 20 items the budget is a grid point, which need not be a whole
+    # number of cost units: the stage's budget exit must round it up
+    rng = random.Random(seed)
+    inst, _ = random_instance(rng, n=n, num_states=2,
+                              sample_size=rng.randint(1, 40), family=family,
+                              universe_size=rng.randint(2, 8))
+    root = empty_partial(n)
+    trace = invocation_plan(inst, root)
+    assert trace == reference_invocation_plan(inst, root)
+    step = inst.costs.total() / (1 << 20)
+    assert (trace.budget / step).denominator == 1
 
 
 def test_invocation_plan_requires_unmet_goal():
