@@ -10,7 +10,9 @@ from .core import (
     ScencoverError,
     ScenarioInstance,
     StateAlphabet,
+    Strategy,
     StructureError,
+    SuffixedStrategy,
     ValidationReport,
     WeightedSample,
     empty_partial,
@@ -18,6 +20,7 @@ from .core import (
     extend,
     follow,
     free_items,
+    materialize,
     tree_size,
     validate_tree,
 )
@@ -66,12 +69,9 @@ from .mixedgreedy import (
     BackboneAudit,
     InvocationTrace,
     MixedGreedyStrategy,
-    Strategy,
-    SuffixedStrategy,
     backbone_audit,
     execute_online,
     invocation_plan,
-    materialize,
     mixed_greedy,
     ratio_ceiling,
     scenario_mixed_greedy,

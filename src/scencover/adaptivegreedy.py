@@ -1,4 +1,5 @@
-"""Expected-gain-per-cost adaptive policy and its scenario wrapper.
+"""Expected-gain-per-cost adaptive policy and its scenario wrapper, both
+`core.Strategy` policies that `core.materialize` expands into trees.
 
 At each step the policy queries the item with the best exact conditional
 expected utility gain per unit cost under the sample distribution.  The
@@ -13,9 +14,10 @@ from .budgeted import best_ratio
 from .core import (
     PreconditionError,
     ScenarioInstance,
+    Strategy,
+    SuffixedStrategy,
     free_items,
 )
-from .mixedgreedy import Strategy, SuffixedStrategy
 from .utility import UtilityFunction, extend, scenario_weight_utility
 
 
@@ -23,10 +25,12 @@ class AdaptiveGreedyStrategy(Strategy):
     """Stateless greedy policy: maximize conditional expected gain / cost.
 
     On partial realizations with no consistent sample mass the conditional
-    expectation is undefined; the policy then falls through to ascending
-    index order until the goal is reached.  The approximation guarantee
-    needs the utility to be adaptive submodular w.r.t. the sample
-    distribution (not enforced; `check_adaptive_submodular` tests it).
+    expectation is undefined.  There every score is 0, so `best_ratio`
+    keeps its first item: the policy falls through to ascending index order
+    until the goal is reached, with no branch of its own.  The
+    approximation guarantee needs the utility to be adaptive submodular
+    w.r.t. the sample distribution (not enforced;
+    `check_adaptive_submodular` tests it).
     """
 
     def __init__(self, g: UtilityFunction, sample, costs):
@@ -41,8 +45,6 @@ class AdaptiveGreedyStrategy(Strategy):
         frees = free_items(b)
         if not frees:
             raise PreconditionError("goal unreachable: no items left")
-        if self.sample.weight_of(b) == 0:
-            return frees[0]
         gb = g.value(b)
 
         def score(i):  # unnormalized: sum over states of weight * gain

@@ -110,6 +110,9 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     return rest
 
 
+GRID_BITS = 20
+
+
 class Grid(Sequence):
     """The points k*step for k in range(size), each made when indexed."""
 
@@ -123,7 +126,7 @@ class Grid(Sequence):
         return range(self.size)[k] * self.step
 
 
-def budget_candidates(items, costs: CostVector, grid_bits: int = 20):
+def budget_candidates(items, costs: CostVector):
     """Finite candidate budgets, in units of 1/`costs.scale` (candidate k
     is the budget `Fraction(k, costs.scale)`): achieved greedy value is
     piecewise constant in the budget, changing only at subset sums of the
@@ -131,7 +134,7 @@ def budget_candidates(items, costs: CostVector, grid_bits: int = 20):
 
     Up to 20 items the candidates are the subset sums of `costs.units`,
     sorted ints.  For more than 20 items the subset-sum set is replaced by
-    a dyadic grid over [0, total units], refined to 2^-grid_bits of the
+    a dyadic grid over [0, total units], refined to 2^-GRID_BITS of the
     total; it is a `Grid`, whose points are made only when indexed.
     """
     items = list(items)
@@ -143,7 +146,7 @@ def budget_candidates(items, costs: CostVector, grid_bits: int = 20):
             sums |= {s + c for s in sums}
         return sorted(sums)
     total = sum(units[i] for i in items)
-    return Grid(Fraction(total, 1 << grid_bits), (1 << grid_bits) + 1)
+    return Grid(Fraction(total, 1 << GRID_BITS), (1 << GRID_BITS) + 1)
 
 
 def find_budget(items: Iterable[int], f: SetFunction,

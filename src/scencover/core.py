@@ -1,4 +1,10 @@
-"""Shared data model: realizations, weighted samples, costs, decision trees.
+"""Shared data model: realizations, weighted samples, costs, decision trees,
+and the policy layer every solver is written in.
+
+A solver is a `Strategy`: it names the next item to query for an observed
+partial realization, or None when done.  `materialize` expands any policy
+into its decision tree and is the one tree builder; `SuffixedStrategy`
+finishes a policy's unfinished paths in index order.
 
 All arithmetic is exact: weights are positive integers, costs are positive
 `Fraction`s, so every probability and expected cost is an exact rational.
@@ -301,6 +307,47 @@ def follow(tree, a: tuple[str, ...], costs: CostVector):
     if not isinstance(node, Leaf):
         raise StructureError("malformed tree node %r" % (node,))
     return total, b
+
+
+class Strategy:
+    """Adaptive policy: observed partial realization -> next item or None."""
+
+    def next_item(self, b):
+        raise NotImplementedError
+
+
+def materialize(strategy: Strategy, alphabet, n: int):
+    """Expand a policy into an explicit decision tree, branching on every
+    state of the alphabet.  The only place a `Node` is built."""
+
+    def build(b):
+        i = strategy.next_item(b)
+        if i is None:
+            return Leaf()
+        return Node(i, {s: build(extend(b, i, s)) for s in alphabet})
+
+    return build(empty_partial(n))
+
+
+class SuffixedStrategy(Strategy):
+    """Run a base strategy, then query remaining items in ascending index
+    order until the wrapped utility (a `UtilityFunction`) reaches its goal.
+    The only index-order completion of unfinished paths."""
+
+    def __init__(self, base: Strategy, utility):
+        self.base = base
+        self.utility = utility
+
+    def next_item(self, b):
+        i = self.base.next_item(b)
+        if i is not None:
+            return i
+        if self.utility.value(b) < self.utility.goal:
+            frees = free_items(b)
+            if not frees:
+                raise PreconditionError("goal unreachable: no items left")
+            return frees[0]
+        return None
 
 
 @dataclass(frozen=True)

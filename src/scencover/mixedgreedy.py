@@ -6,11 +6,10 @@ first removing sample mass from the backbone as cheaply as possible, then
 raising utility along the anchor states.  An observed state off the anchor,
 or the end of the backbone, starts a fresh invocation there.
 
-Each solver is one policy (a `Strategy`): it answers "which item next?" for
-an observed partial realization.  Run it online with `execute_online`, or
-expand it into an explicit decision tree with `materialize`, the only tree
-builder: `mixed_greedy` and `scenario_mixed_greedy_tree` are `materialize`
-applied to their policies.
+The backbone is a `core.Strategy`: run it online with `execute_online`, or
+expand it into a tree with `core.materialize`, the one tree builder;
+`mixed_greedy` and `scenario_mixed_greedy_tree` are `materialize` applied
+to their policies.
 """
 
 from __future__ import annotations
@@ -24,14 +23,15 @@ from .budgeted import best_ratio, find_budget
 from .core import (
     UNKNOWN,
     CostVector,
-    Leaf,
-    Node,
     PreconditionError,
     ScenarioInstance,
+    Strategy,
+    SuffixedStrategy,
     WeightedSample,
     empty_partial,
     extend,
     free_items,
+    materialize,
 )
 from .minsum import full_cost_schedule, make_job, schedule_cost
 from .oracle import (
@@ -40,26 +40,12 @@ from .oracle import (
     OracleLimits,
     optimal_tree,
 )
-from .utility import UtilityFunction, marginal, worst_state
-
-
-class Strategy:
-    """Adaptive policy: observed partial realization -> next item or None."""
-
-    def next_item(self, b):
-        raise NotImplementedError
-
-
-def materialize(strategy: Strategy, alphabet, n: int):
-    """Expand a policy into an explicit decision tree."""
-
-    def build(b):
-        i = strategy.next_item(b)
-        if i is None:
-            return Leaf()
-        return Node(i, {s: build(extend(b, i, s)) for s in alphabet})
-
-    return build(empty_partial(n))
+from .utility import (
+    UtilityFunction,
+    marginal,
+    scenario_count_utility,
+    worst_state,
+)
 
 
 def execute_online(strategy: Strategy, reveal, costs: CostVector):
@@ -260,30 +246,8 @@ def mixed_greedy(instance: ScenarioInstance, traces: list | None = None):
     return tree
 
 
-class SuffixedStrategy(Strategy):
-    """Run a base strategy, then query remaining items in ascending index
-    order until the wrapped utility reaches its goal."""
-
-    def __init__(self, base: Strategy, utility: UtilityFunction):
-        self.base = base
-        self.utility = utility
-
-    def next_item(self, b):
-        i = self.base.next_item(b)
-        if i is not None:
-            return i
-        if self.utility.value(b) < self.utility.goal:
-            frees = free_items(b)
-            if not frees:
-                raise PreconditionError("goal unreachable: no items left")
-            return frees[0]
-        return None
-
-
 def combined_count_instance(instance: ScenarioInstance) -> ScenarioInstance:
     """Same sample and costs, utility OR-combined with row-count elimination."""
-    from .utility import scenario_count_utility
-
     return ScenarioInstance(
         scenario_count_utility(instance.utility, instance.sample),
         instance.sample,
@@ -351,7 +315,6 @@ class BackboneAudit:
     reach_probabilities: tuple
     backbone_expected_cost: Fraction  # probability-weighted backbone cost
     stage1_cost: Fraction | None
-    full_backbone_cost: Fraction | None
     optimal_cost: Fraction | None  # induced-instance optimum, None if skipped
     status: str  # "ok" or "skipped"
 
@@ -365,7 +328,7 @@ class BackboneAudit:
     def within_3_stage1(self):
         if self.stage1_cost is None:
             return None
-        return self.full_backbone_cost <= 3 * self.stage1_cost
+        return self.backbone_expected_cost <= 3 * self.stage1_cost
 
 
 def stage_progress_holds(trace: InvocationTrace, goal: int) -> bool:
@@ -387,7 +350,7 @@ def backbone_audit(instance: ScenarioInstance, b=None,
     if wb == 0:
         probs = tuple(Fraction(0) for _ in trace.plan)
         return BackboneAudit(
-            trace, probs, Fraction(0), None, None, Fraction(0), "ok"
+            trace, probs, Fraction(0), None, Fraction(0), "ok"
         )
 
     probs = []
@@ -415,7 +378,7 @@ def backbone_audit(instance: ScenarioInstance, b=None,
         opt = None
         status = "skipped"
     return BackboneAudit(
-        trace, tuple(probs), c_y, stage1_cost, full_cost, opt, status
+        trace, tuple(probs), c_y, stage1_cost, opt, status
     )
 
 

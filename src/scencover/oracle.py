@@ -2,6 +2,8 @@
 
 These are deliberately simple and exponential; hard budgets make any attempt
 to run them beyond desk scale an explicit refusal instead of a silent stall.
+The optimal tree is a policy like every other solver's, expanded by
+`core.materialize`.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    Leaf,
-    Node,
     PreconditionError,
     ScenarioInstance,
     ScencoverError,
+    Strategy,
+    SuffixedStrategy,
     empty_partial,
     extend,
     free_items,
+    materialize,
 )
 from .minsum import full_cost_schedule, make_job, schedule_cost
 
@@ -37,29 +40,16 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def fixed_order_completion(g, b):
-    """Cheapest-to-describe valid subtree: query free items in index order
-    until the goal is reached.  Used to finish zero-probability branches."""
-    if g.value(b) == g.goal:
-        return Leaf()
-    frees = free_items(b)
-    if not frees:
-        raise PreconditionError("no free items left but goal not reached")
-    i = frees[0]
-    return Node(
-        i, {s: fixed_order_completion(g, extend(b, i, s)) for s in g.alphabet}
-    )
-
-
-def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMITS,
-                 use_memo: bool = True):
+def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMITS):
     """Exact minimum expected cost over all valid strategies.
 
     Recursion over partial realizations: at each reachable information state
-    pick the item minimizing immediate cost plus the weighted cost of the
-    consistent subtrees.  Branches no sample row reaches contribute nothing
-    to the expectation and are completed in fixed item order.  Returns
-    (tree, expected cost).
+    the policy picks the item minimizing immediate cost plus the weighted
+    cost of the consistent subtrees (the lowest index on ties), memoized per
+    state.  Branches no sample row reaches contribute nothing to the
+    expectation; there the policy stops and `SuffixedStrategy` completes
+    them in fixed item order.  The tree is `materialize` of that policy.
+    Returns (tree, expected cost).
     """
     if (instance.n > limits.max_items or len(instance.alphabet) > limits.max_states
             or instance.sample.size > limits.max_rows):
@@ -89,30 +79,24 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
         wb = instance.sample.weight_of(b)
         if wb == 0:
             return Fraction(0)
-        if use_memo and b in memo:
+        if b in memo:
             return memo[b]
         best = min((item_cost(b, wb, i) for i in free_items(b)), default=None)
         if best is None:
             raise PreconditionError("goal unreachable: no free items at %r" % (b,))
-        if use_memo:
-            memo[b] = best
+        memo[b] = best
         return best
 
-    def build(b):
-        if g.value(b) == g.goal:
-            return Leaf()
-        wb = instance.sample.weight_of(b)
-        if wb == 0:
-            return fixed_order_completion(g, b)
-        # min keeps the first minimizer: ties go to the lowest index
-        best_item = min(free_items(b), key=lambda i: item_cost(b, wb, i))
-        return Node(
-            best_item,
-            {s: build(extend(b, best_item, s)) for s in instance.alphabet},
-        )
+    class OptimalStrategy(Strategy):
+        def next_item(self, b):
+            if g.value(b) == g.goal or not (wb := instance.sample.weight_of(b)):
+                return None
+            # min keeps the first minimizer: ties go to the lowest index
+            return min(free_items(b), key=lambda i: item_cost(b, wb, i))
 
-    root = empty_partial(instance.n)
-    return build(root), best_cost(root)
+    tree = materialize(SuffixedStrategy(OptimalStrategy(), g),
+                       instance.alphabet, instance.n)
+    return tree, best_cost(empty_partial(instance.n))
 
 
 def optimal_budgeted(items, f, costs, budget):

@@ -31,7 +31,7 @@ from scencover.mixedgreedy import (
     weight_removal_function,
     worst_case_realization,
 )
-from scencover.oracle import fixed_order_completion, optimal_budgeted
+from scencover.oracle import optimal_budgeted
 from scencover.utility import marginal
 
 FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
@@ -132,6 +132,66 @@ def _complete_leaves(tree, g, b):
     )
 
 
+def fixed_order_completion(g, b):
+    """Query free items in index order until the goal is reached: the
+    reference completion of branches no sample row reaches."""
+    if g.value(b) == g.goal:
+        return Leaf()
+    frees = free_items(b)
+    if not frees:
+        raise PreconditionError("no free items left but goal not reached")
+    i = frees[0]
+    return Node(
+        i, {s: fixed_order_completion(g, extend(b, i, s)) for s in g.alphabet}
+    )
+
+
+def reference_optimal_tree(instance):
+    """The oracle tree by explicit recursion over partial realizations: the
+    reference that `optimal_tree`, `materialize` of the oracle policy, must
+    reproduce.  At each state with sample mass below the goal the first item
+    minimizing immediate cost plus the weighted optimal cost of the
+    consistent children; zero-mass branches completed in index order.
+    Returns (tree, expected cost)."""
+    g = instance.utility
+    costs = instance.costs
+    memo = {}
+
+    def item_cost(b, wb, i):
+        total = costs[i]
+        for s in instance.alphabet:
+            child = extend(b, i, s)
+            wc = instance.sample.weight_of(child)
+            if wc:
+                total += Fraction(wc, wb) * best_cost(child)
+        return total
+
+    def best_cost(b):
+        if g.value(b) == g.goal:
+            return Fraction(0)
+        wb = instance.sample.weight_of(b)
+        if wb == 0:
+            return Fraction(0)
+        if b not in memo:
+            memo[b] = min(item_cost(b, wb, i) for i in free_items(b))
+        return memo[b]
+
+    def build(b):
+        if g.value(b) == g.goal:
+            return Leaf()
+        wb = instance.sample.weight_of(b)
+        if wb == 0:
+            return fixed_order_completion(g, b)
+        best_item = min(free_items(b), key=lambda i: item_cost(b, wb, i))
+        return Node(
+            best_item,
+            {s: build(extend(b, best_item, s)) for s in instance.alphabet},
+        )
+
+    root = empty_partial(instance.n)
+    return build(root), best_cost(root)
+
+
 def reference_validate_tree(tree, instance):
     """Validation by running `follow` on every one of the states^n
     realizations: the reference that `validate_tree`'s path walk must agree
@@ -207,9 +267,9 @@ def reference_wolsey_greedy(items, f, costs, budget):
     return rest
 
 
-def reference_budget_candidates(items, costs, grid_bits=20):
+def reference_budget_candidates(items, costs):
     """The candidate budgets as `Fraction`s: sorted subset sums up to 20
-    items, the grid total * k / 2^grid_bits above."""
+    items, the grid total * k / 2^20 above."""
     items = list(items)
     if len(items) <= 20:
         sums = {Fraction(0)}
@@ -217,7 +277,7 @@ def reference_budget_candidates(items, costs, grid_bits=20):
             sums |= {s + costs[i] for s in sums}
         return sorted(sums)
     total = sum((costs[i] for i in items), Fraction(0))
-    return Grid(total / (1 << grid_bits), (1 << grid_bits) + 1)
+    return Grid(total / (1 << 20), (1 << 20) + 1)
 
 
 def reference_find_budget(items, f, costs):

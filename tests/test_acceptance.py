@@ -17,6 +17,7 @@ from scencover.core import (
     expected_cost,
     extend,
     follow,
+    materialize,
     validate_tree,
 )
 from scencover.generate import random_set_function
@@ -34,7 +35,6 @@ from scencover.mixedgreedy import (
     backbone_audit,
     execute_online,
     invocation_plan,
-    materialize,
     mixed_greedy,
     ratio_ceiling,
     scenario_mixed_greedy,

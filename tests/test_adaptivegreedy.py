@@ -16,9 +16,9 @@ from scencover.core import (
     empty_partial,
     enumerate_realizations,
     expected_cost,
+    materialize,
     validate_tree,
 )
-from scencover.mixedgreedy import materialize
 from scencover.oracle import optimal_tree
 from scencover.utility import (
     BINARY,
@@ -94,6 +94,18 @@ def test_zero_mass_branch_uses_index_order():
     strategy = scenario_adaptive_greedy(inst)
     tree = materialize(strategy, BINARY, 3)
     assert validate_tree(tree, inst).status == "ok"
+
+
+def test_zero_mass_keeps_first_free_item():
+    # at zero mass every score is 0 and best_ratio keeps the first item,
+    # even though the later free item 2 is five times cheaper
+    g = KOfNUtility(3, 2)
+    sample = WeightedSample(((("1", "1", "1"), 1),))
+    costs = CostVector((Fraction(1), Fraction(5), Fraction(1)))
+    strategy = AdaptiveGreedyStrategy(g, sample, costs)
+    b = ("0", U, U)
+    assert sample.weight_of(b) == 0 and g.value(b) < g.goal
+    assert strategy.next_item(b) == 1
 
 
 def test_wrapper_uses_weight_elimination_goal():

@@ -250,17 +250,21 @@ def test_budget_grid_points(n):
     rng = random.Random(n)
     costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
     total = costs.total()
-    grid = budget_candidates(range(n), costs, grid_bits=3)
-    assert len(grid) == 9
-    # iteration stops at the first IndexError, so check that one first
-    with pytest.raises(IndexError):
-        grid[len(grid)]
-    with pytest.raises(IndexError):
-        grid[-len(grid) - 1]
-    assert grid[-1] == sum(costs.units) and grid[-9] == 0
-    assert [Fraction(k, costs.scale) for k in grid] == [
-        k * total / 8 for k in range(9)
-    ]
+    grid = budget_candidates(range(n), costs)
+    reference = reference_budget_candidates(range(n), costs)
+    size = (1 << 20) + 1
+    assert len(grid) == len(reference) == size
+    # iteration stops at the first IndexError, so check that one first;
+    # the grid is indexed at a few points, never iterated
+    for k in (size, -size - 1):
+        with pytest.raises(IndexError):
+            grid[k]
+    assert grid[-1] == grid[size - 1] == sum(costs.units)
+    assert grid[0] == grid[-size] == 0
+    for k in (0, 1, 1 << 19, -1):
+        assert Fraction(grid[k], costs.scale) == reference[k]
+    assert Fraction(grid[1], costs.scale) == total / (1 << 20)
+    assert Fraction(grid[1 << 19], costs.scale) == total / 2
 
 
 def test_budget_grid_is_not_materialised():

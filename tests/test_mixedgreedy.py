@@ -14,6 +14,7 @@ from scencover.core import (
     Node,
     PreconditionError,
     ScenarioInstance,
+    SuffixedStrategy,
     WeightedSample,
     empty_partial,
     enumerate_realizations,
@@ -21,16 +22,15 @@ from scencover.core import (
     extend,
     follow,
     free_items,
+    materialize,
     validate_tree,
 )
 from scencover.mixedgreedy import (
     MixedGreedyStrategy,
-    SuffixedStrategy,
     backbone_audit,
     execute_online,
     invocation_plan,
     log_upper_bound,
-    materialize,
     mixed_greedy,
     ratio_ceiling,
     scenario_mixed_greedy,

@@ -6,22 +6,29 @@ import pytest
 
 from scencover.core import (
     CostVector,
+    Node,
     PreconditionError,
     ScenarioInstance,
     WeightedSample,
+    empty_partial,
     expected_cost,
+    extend,
     validate_tree,
 )
 from scencover.oracle import (
     OracleBudgetError,
     OracleLimits,
-    fixed_order_completion,
     optimal_budgeted,
     optimal_schedule,
     optimal_tree,
 )
 from scencover.utility import BINARY, CoverageUtility, KOfNUtility
-from conftest import instance_stream
+from conftest import (
+    FAMILIES,
+    fixed_order_completion,
+    instance_stream,
+    reference_optimal_tree,
+)
 
 
 def unit_costs(n):
@@ -63,11 +70,31 @@ def test_optimal_tree_lower_bounds_solvers():
         assert expected_cost(mixed_greedy(inst), inst) >= opt
 
 
-def test_optimal_tree_memo_agrees_with_plain():
-    for _, inst, _ in instance_stream(10, base_seed=77, max_n=4, max_rows=5):
-        _, with_memo = optimal_tree(inst, use_memo=True)
-        _, without = optimal_tree(inst, use_memo=False)
-        assert with_memo == without
+def zero_mass_nodes(tree, instance, b=None):
+    """Internal nodes of the tree that no sample row reaches."""
+    if b is None:
+        b = empty_partial(instance.n)
+    if not isinstance(tree, Node):
+        return 0
+    own = 1 if instance.sample.weight_of(b) == 0 else 0
+    return own + sum(zero_mass_nodes(child, instance, extend(b, tree.item, s))
+                     for s, child in tree.children.items())
+
+
+def test_optimal_tree_matches_reference_recursion():
+    families, states, zero_mass = set(), set(), 0
+    for _, inst, descriptor in instance_stream(60, base_seed=300, max_n=5,
+                                               max_rows=6):
+        tree, cost = optimal_tree(inst)
+        ref_tree, ref_cost = reference_optimal_tree(inst)
+        assert tree == ref_tree
+        assert cost == ref_cost
+        families.add(descriptor["kind"])
+        states.add(len(inst.alphabet))
+        zero_mass += zero_mass_nodes(tree, inst)
+    assert families == set(FAMILIES)
+    assert states == {2, 3}
+    assert zero_mass > 0
 
 
 def test_optimal_tree_budget_refusal():

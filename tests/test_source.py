@@ -36,3 +36,44 @@ def test_no_unused_imports():
     dead = {p.name: unused_imports(p.read_text(encoding="utf-8"))
             for p in modules}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def sibling_imports(source: str) -> set[str]:
+    """Modules of this package that a module imports, at any depth:
+    relative imports and absolute `scencover.` ones."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import (level 1) is relative to this package
+            base = "scencover" if node.level else node.module
+            if node.level and node.module:
+                base += "." + node.module
+            names += [base + "." + alias.name for alias in node.names]
+    return {name.split(".")[1] for name in names
+            if name.startswith("scencover.")} & MODULES
+
+
+def test_sibling_imports_detected():
+    source = ("from __future__ import annotations\n"
+              "import itertools\n"
+              "from .core import Leaf\n"
+              "from . import oracle\n"
+              "def f():\n"
+              "    from scencover.utility import marginal\n"
+              "    from scencover import cli, Leaf\n")
+    assert sibling_imports(source) == {"core", "oracle", "utility", "cli"}
+
+
+def test_layering():
+    """`core` (data model and policy layer) imports no sibling module, and
+    only the entry points import the backbone module."""
+    imports = {p.stem: sibling_imports(p.read_text(encoding="utf-8"))
+               for p in PACKAGE.glob("*.py")}
+    assert imports["core"] == set()
+    assert {name for name, found in imports.items()
+            if "mixedgreedy" in found} == {"cli", "__init__"}
