@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .core import (
     PreconditionError,
     ScencoverError,
     expected_cost,
+    follow,
     tree_size,
     validate_tree,
 )
@@ -81,8 +83,6 @@ def _solve_tree(instance, algorithm):
 def _strategy_document(tree, instance):
     if tree_size(tree) <= MAX_TREE_NODES:
         return {"tree": tree_to_document(tree)}
-    from .core import follow
-
     rows = []
     for a, w in instance.sample.rows:
         cost, terminal = follow(tree, a, instance.costs)
@@ -178,7 +178,11 @@ def cmd_check(args) -> int:
         print("rho = %s (eta = %s)" % (progress.ratio, progress.floor))
         return EXIT_OK
     if prop == "goal":
-        ok = g.verify_goal_on_full()
+        try:
+            ok = g.verify_goal_on_full()
+        except PreconditionError as exc:
+            print("refused: %s" % exc, file=sys.stderr)
+            return EXIT_REFUSED
         print("goal: %s" % ("reached on all realizations" if ok else "FAILED"))
         return EXIT_OK if ok else EXIT_FAILED
 
@@ -255,8 +259,6 @@ def _bench_row(path, algorithms):
 
 
 def cmd_bench(args) -> int:
-    import pathlib
-
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for a in algorithms:
         if a not in ALGORITHMS or a == "optimal":

@@ -9,7 +9,8 @@ finishes a policy's unfinished paths in index order.
 All arithmetic is exact: weights are positive integers, costs are positive
 `Fraction`s, so every probability and expected cost is an exact rational.
 A `CostVector` also carries its costs as integers in a common unit, which
-the greedy layer compares instead of the `Fraction`s.
+the greedy layer compares and `follow`, `expected_cost` and the oracle sum
+instead of the `Fraction`s.
 Everything in this module is immutable after construction and all operations
 are pure functions of their inputs.
 
@@ -291,8 +292,14 @@ def follow(tree, a: tuple[str, ...], costs: CostVector):
     Returns (path cost, terminal partial realization).  Raises
     StructureError on missing children or repeated items along the path.
     """
+    total, b = _follow_units(tree, a, costs.units)
+    return Fraction(total, costs.scale), b
+
+
+def _follow_units(tree, a, units):
+    """`follow` with the path cost as a sum of integer cost units."""
     b = empty_partial(len(a))
-    total = Fraction(0)
+    total = 0
     node = tree
     while isinstance(node, Node):
         i = node.item
@@ -301,7 +308,7 @@ def follow(tree, a: tuple[str, ...], costs: CostVector):
         state = a[i]
         if state not in node.children:
             raise StructureError("node for item %d lacks a %r-child" % (i, state))
-        total += costs[i]
+        total += units[i]
         b = extend(b, i, state)
         node = node.children[state]
     if not isinstance(node, Leaf):
@@ -397,15 +404,14 @@ class ScenarioInstance:
 
 
 def expected_cost(tree, instance: ScenarioInstance) -> Fraction:
-    """Expected path cost of the tree under the sample distribution."""
+    """Expected path cost of the tree under the sample distribution: the
+    weighted sum of the paths' integer cost units over W·L, one `Fraction`."""
     sample = instance.sample
     if not sample.rows:
         raise PreconditionError("expected cost undefined for an empty sample")
-    total = Fraction(0)
-    for a, w in sample.rows:
-        kappa, _ = follow(tree, a, instance.costs)
-        total += w * kappa
-    return total / sample.total_weight
+    units = instance.costs.units
+    total = sum(w * _follow_units(tree, a, units)[0] for a, w in sample.rows)
+    return Fraction(total, sample.total_weight * instance.costs.scale)
 
 
 def validate_tree(tree, instance: ScenarioInstance,

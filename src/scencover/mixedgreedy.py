@@ -382,11 +382,51 @@ def backbone_audit(instance: ScenarioInstance, b=None,
     )
 
 
+#: `log_upper_bound` rounds up to a multiple of 2^-LOG_BITS.
+LOG_BITS = 64
+
+
+def _ln_units(num: int, den: int, bits: int) -> int:
+    """An upper bound on ln(num/den) in units of 2^-bits, for
+    den <= num <= 2·den.
+
+    ln x = Σ_j 2·y^(2j+1)/(2j+1) with y = (x-1)/(x+1) <= 1/3, and the terms
+    from the j-th on sum to at most 2·y^(2j+1)/((2j+1)(1-y²)).  Every
+    quantity is an integer count of units rounded up (y and y² as well), so
+    each stays above its exact value: the partial sum plus that tail bound
+    is an upper bound, returned once the tail is down to one unit.
+    """
+    one = 1 << bits
+    y = -(-(num - den << bits) // (num + den))
+    y2 = -(-y * y // one)
+    total = 0
+    term = 2 * y  # 2·y^(2j+1)
+    j = 0
+    while True:
+        tail = -(-term * one // ((2 * j + 1) * (one - y2)))
+        if tail <= 1:
+            return total + tail
+        total += -(-term // (2 * j + 1))
+        term = -(-term * y2 // one)
+        j += 1
+
+
 def log_upper_bound(q: int) -> Fraction:
-    """A rational strictly-not-below upper bound on the natural log of q."""
+    """An upper bound on the natural log of q, proved in exact integers.
+
+    With q = 2^k·r and 1 <= r < 2, ln q = k·ln 2 + ln r.  Each logarithm is
+    bounded by the atanh series of `_ln_units` in units of 2^-bits, with
+    16 + log2(k+1) guard bits beyond LOG_BITS, and the sum is rounded up to
+    a multiple of 2^-LOG_BITS; the bound exceeds ln q by less than 2^-63
+    (`tests/test_mixedgreedy.py` checks it against 50-digit logarithms).
+    It is exact where ln q is rational: log_upper_bound(1) == 0.
+    """
     if q < 1:
         raise PreconditionError("log bound needs q >= 1")
-    return Fraction(math.nextafter(math.log(q), math.inf))
+    k = q.bit_length() - 1
+    bits = LOG_BITS + 16 + k.bit_length()
+    units = k * _ln_units(2, 1, bits) + _ln_units(q, 1 << k, bits)
+    return Fraction(-(-units >> (bits - LOG_BITS)), 1 << LOG_BITS)
 
 
 def ratio_ceiling(eta: Fraction, goal: int):

@@ -4,6 +4,16 @@ These are deliberately simple and exponential; hard budgets make any attempt
 to run them beyond desk scale an explicit refusal instead of a silent stall.
 The optimal tree is a policy like every other solver's, expanded by
 `core.materialize`.
+
+`optimal_tree` solves its recursion in integers.  With L the cost scale
+(`CostVector.scale`) and W(b) the sample weight consistent with a partial
+realization b, let U(b) = W(b)·L·OPT(b), where OPT(b) is the least expected
+cost of finishing from b.  Multiplying OPT's recursion by W(b)·L gives
+
+    U(b) = min over free i of  units_i·W(b) + sum over states s of U(b+(i,s))
+
+with U(b) = 0 at the goal or at zero mass, so every U(b) is an int and the
+optimum is U(root)/(W·L).
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from .core import (
     Strategy,
     SuffixedStrategy,
     empty_partial,
-    extend,
     free_items,
     materialize,
 )
@@ -43,13 +52,19 @@ DEFAULT_LIMITS = OracleLimits()
 def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMITS):
     """Exact minimum expected cost over all valid strategies.
 
-    Recursion over partial realizations: at each reachable information state
-    the policy picks the item minimizing immediate cost plus the weighted
-    cost of the consistent subtrees (the lowest index on ties), memoized per
-    state.  Branches no sample row reaches contribute nothing to the
-    expectation; there the policy stops and `SuffixedStrategy` completes
-    them in fixed item order.  The tree is `materialize` of that policy.
-    Returns (tree, expected cost).
+    Recursion over partial realizations in the integer units U(b) of the
+    module docstring: at each reachable information state with sample mass
+    the policy picks the item minimizing units_i·W(b) plus the children's
+    U, the lowest index on ties, and (U(b), that item) is memoized per
+    state.  While one item sums its children, it stops as soon as the
+    partial total reaches the best total found so far: every term is >= 0,
+    so the item can no longer be strictly better, and a tie keeps the
+    earlier item anyway.  The minimum and its lowest-index minimizer are
+    therefore exactly those of the full sums.  Branches no sample row
+    reaches contribute nothing to the expectation; there the policy stops
+    and `SuffixedStrategy` completes them in fixed item order.  The tree is
+    `materialize` of that policy.  Returns (tree, expected cost), the cost
+    as the `Fraction` U(root)/(W·L).
     """
     if (instance.n > limits.max_items or len(instance.alphabet) > limits.max_states
             or instance.sample.size > limits.max_rows):
@@ -60,43 +75,50 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
     if not instance.sample.rows:
         raise PreconditionError("optimal tree undefined for an empty sample")
     g = instance.utility
-    costs = instance.costs
+    goal = g.goal
+    value = g.value
+    weight_of = instance.sample.weight_of
+    units = instance.costs.units
+    states = instance.alphabet.states
     memo: dict = {}
 
-    def item_cost(b, wb, i) -> Fraction:
-        """Cost of querying i at b, then continuing optimally."""
-        total = costs[i]
-        for s in instance.alphabet:
-            child = extend(b, i, s)
-            wc = instance.sample.weight_of(child)
-            if wc:
-                total += Fraction(wc, wb) * best_cost(child)
-        return total
-
-    def best_cost(b) -> Fraction:
-        if g.value(b) == g.goal:
-            return Fraction(0)
-        wb = instance.sample.weight_of(b)
-        if wb == 0:
-            return Fraction(0)
-        if b in memo:
-            return memo[b]
-        best = min((item_cost(b, wb, i) for i in free_items(b)), default=None)
-        if best is None:
+    def solve(b, wb):
+        """(U(b), the item the policy queries at b or None); wb is W(b)."""
+        entry = memo.get(b)
+        if entry is not None:
+            return entry
+        if not wb or value(b) == goal:
+            entry = memo[b] = (0, None)
+            return entry
+        best = best_item = None
+        for i in free_items(b):
+            total = units[i] * wb
+            if best is not None and total >= best:
+                continue
+            head, tail = b[:i], b[i + 1:]
+            for s in states:
+                child = head + (s,) + tail
+                wc = weight_of(child)
+                if wc:
+                    total += solve(child, wc)[0]
+                    if best is not None and total >= best:
+                        break
+            else:
+                best, best_item = total, i
+        if best_item is None:
             raise PreconditionError("goal unreachable: no free items at %r" % (b,))
-        memo[b] = best
-        return best
+        entry = memo[b] = (best, best_item)
+        return entry
 
     class OptimalStrategy(Strategy):
         def next_item(self, b):
-            if g.value(b) == g.goal or not (wb := instance.sample.weight_of(b)):
-                return None
-            # min keeps the first minimizer: ties go to the lowest index
-            return min(free_items(b), key=lambda i: item_cost(b, wb, i))
+            return (memo.get(b) or solve(b, weight_of(b)))[1]
 
+    total_weight = instance.sample.total_weight
+    optimum, _ = solve(empty_partial(instance.n), total_weight)
     tree = materialize(SuffixedStrategy(OptimalStrategy(), g),
                        instance.alphabet, instance.n)
-    return tree, best_cost(empty_partial(instance.n))
+    return tree, Fraction(optimum, total_weight * instance.costs.scale)
 
 
 def optimal_budgeted(items, f, costs, budget):

@@ -47,8 +47,11 @@ class UtilityFunction:
 
     def verify_goal_on_full(self, enumeration_budget: int = 200_000) -> bool:
         """Check value(a) == goal on every full realization (if enumerable)."""
-        if len(self.alphabet) ** self.n > enumeration_budget:
-            raise PreconditionError("realization space too large to enumerate")
+        space = len(self.alphabet) ** self.n
+        if space > enumeration_budget:
+            raise PreconditionError(
+                "states^n = %d full realizations exceeds the enumeration "
+                "budget of %d" % (space, enumeration_budget))
         return all(
             self.value(a) == self.goal
             for a in enumerate_realizations(self.alphabet, self.n)
@@ -304,22 +307,32 @@ class ProgressReport:
 
 
 def min_progress_ratio(g: UtilityFunction) -> ProgressReport:
-    """Minimize gain/(goal - value) over b, free i, and non-worst states."""
-    best = None
-    witness = None
+    """Minimize gain/(goal - value) over b, free i, and non-worst states.
+
+    The worst state of (b, i) is the first of least gain in alphabet order,
+    as in `worst_state`; each state's gain is computed once.  Ratios are
+    compared as integer cross-products (both denominators are positive),
+    the first minimizer in enumeration order winning ties, and the one
+    `Fraction` is made at the end.
+    """
+    goal = g.goal
+    value = g.value
+    states = g.alphabet.states
+    best_num = best_den = witness = None
     for b in enumerate_partials(g.alphabet, g.n):
-        gb = g.value(b)
-        if gb >= g.goal:
+        gb = value(b)
+        if gb >= goal:
             continue
-        remaining = g.goal - gb
+        remaining = goal - gb
         for i in free_items(b):
-            worst = worst_state(g, b, i)
-            for state in g.alphabet:
-                if state == worst:
-                    continue
-                ratio = Fraction(marginal(g, b, i, state), remaining)
-                if best is None or ratio < best:
-                    best, witness = ratio, (b, i, state)
-    if best is None:
+            head, tail = b[:i], b[i + 1:]
+            gains = [value(head + (s,) + tail) - gb for s in states]
+            worst = gains.index(min(gains))
+            for k, gain in enumerate(gains):
+                if k != worst and (best_num is None
+                                   or gain * best_den < best_num * remaining):
+                    best_num, best_den = gain, remaining
+                    witness = (b, i, states[k])
+    if witness is None:
         raise PreconditionError("no valid (b, i, state) triple to minimize over")
-    return ProgressReport(best, witness)
+    return ProgressReport(Fraction(best_num, best_den), witness)

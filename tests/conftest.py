@@ -18,6 +18,7 @@ from scencover.core import (
     StructureError,
     ValidationReport,
     empty_partial,
+    enumerate_partials,
     enumerate_realizations,
     extend,
     follow,
@@ -32,7 +33,7 @@ from scencover.mixedgreedy import (
     worst_case_realization,
 )
 from scencover.oracle import optimal_budgeted
-from scencover.utility import marginal
+from scencover.utility import ProgressReport, marginal, worst_state
 
 FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
@@ -358,3 +359,61 @@ def reference_invocation_plan(instance, b):
         stage1_exit=stage1_exit, stage2_exit=stage2_exit,
         final=cur, entry_value=gb, final_value=g.value(cur),
     )
+
+
+# Path costs and the progress ratio with `Fraction` arithmetic: the
+# references that the integer versions must reproduce exactly.
+
+def reference_follow(tree, a, costs):
+    """`follow` adding the path's `Fraction` costs."""
+    b = empty_partial(len(a))
+    total = Fraction(0)
+    node = tree
+    while isinstance(node, Node):
+        i = node.item
+        if b[i] != UNKNOWN:
+            raise StructureError("item %d repeats on the path" % i)
+        state = a[i]
+        if state not in node.children:
+            raise StructureError("node for item %d lacks a %r-child" % (i, state))
+        total += costs[i]
+        b = extend(b, i, state)
+        node = node.children[state]
+    if not isinstance(node, Leaf):
+        raise StructureError("malformed tree node %r" % (node,))
+    return total, b
+
+
+def reference_expected_cost(tree, instance):
+    """Expected cost as a running `Fraction` sum of weighted path costs."""
+    sample = instance.sample
+    if not sample.rows:
+        raise PreconditionError("expected cost undefined for an empty sample")
+    total = Fraction(0)
+    for a, w in sample.rows:
+        kappa, _ = reference_follow(tree, a, instance.costs)
+        total += w * kappa
+    return total / sample.total_weight
+
+
+def reference_min_progress_ratio(g):
+    """Minimize gain/(goal - value) over b, free i, and the states other
+    than `worst_state`, comparing `Fraction` ratios; first minimizer."""
+    best = None
+    witness = None
+    for b in enumerate_partials(g.alphabet, g.n):
+        gb = g.value(b)
+        if gb >= g.goal:
+            continue
+        remaining = g.goal - gb
+        for i in free_items(b):
+            worst = worst_state(g, b, i)
+            for state in g.alphabet:
+                if state == worst:
+                    continue
+                ratio = Fraction(marginal(g, b, i, state), remaining)
+                if best is None or ratio < best:
+                    best, witness = ratio, (b, i, state)
+    if best is None:
+        raise PreconditionError("no valid (b, i, state) triple to minimize over")
+    return ProgressReport(best, witness)

@@ -110,6 +110,18 @@ def test_solve_oracle_refusal_exits_3(tmp_path):
                 "--out", tmp_path / "o.json"]) == 3
 
 
+def test_check_goal_refused_above_enumeration_budget(tmp_path, capsys):
+    # 2^18 full realizations exceed verify_goal_on_full's 200,000 budget
+    infile = tmp_path / "wide.json"
+    assert run(["gen", "--seed", 1, "--n", 18, "--family", "coverage",
+                "--out", infile]) == 0
+    capsys.readouterr()
+    assert run(["check", "--property", "goal", "--in", infile]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ")
+    assert str(2 ** 18) in err and "Traceback" not in err
+
+
 def test_solve_skips_rho_above_check_space(tmp_path, monkeypatch):
     # (3+1)^14 partial realizations: the unguarded rho enumeration hangs
     def enumeration_refused(*args, **kwargs):

@@ -25,7 +25,13 @@ from scencover.core import (
 )
 from scencover.cli import _solve_tree
 from scencover.utility import BINARY, CoverageUtility, KOfNUtility, TableUtility
-from conftest import is_extension, reference_validate_tree, seeded_instance
+from conftest import (
+    is_extension,
+    reference_expected_cost,
+    reference_follow,
+    reference_validate_tree,
+    seeded_instance,
+)
 
 U = UNKNOWN
 
@@ -216,6 +222,25 @@ def test_expected_cost_weight_scaling():
     )
     tree = chain_tree(3, BINARY)
     assert expected_cost(tree, inst) == expected_cost(tree, doubled)
+
+
+def test_path_costs_match_fraction_reference():
+    # seeded instances draw costs such as 1/2 and 5/2, so the unit scale
+    # L is often 2; weights go up to 5
+    scales = set()
+    for seed in range(40):
+        inst, _ = seeded_instance(seed, max_n=5, max_states=3)
+        scales.add(inst.costs.scale)
+        for solver in ("mixed", "scenario-adaptive", "optimal"):
+            tree = _solve_tree(inst, solver)[0]
+            for a, _ in inst.sample.rows:
+                cost, terminal = follow(tree, a, inst.costs)
+                assert (cost, terminal) == reference_follow(tree, a, inst.costs)
+                assert type(cost) is Fraction
+            cost = expected_cost(tree, inst)
+            assert cost == reference_expected_cost(tree, inst)
+            assert type(cost) is Fraction
+    assert scales == {1, 2}
 
 
 def test_validate_single_leaf():

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -316,16 +317,20 @@ def test_mixed_greedy_ratio_on_desk_instance():
 
 
 def test_log_upper_bound():
-    import math
-
-    for q in (1, 2, 3, 10, 1000):
-        ub = log_upper_bound(q)
-        assert float(ub) >= math.log(q)
-        assert float(ub) - math.log(q) < 1e-9
+    # above ln q by less than 2^-63, checked against 50-digit logarithms
+    qs = (list(range(1, 2001)) + [2 ** k for k in range(101)]
+          + [10 ** k for k in range(31)])
+    with mpmath.workdps(50):
+        for q in qs:
+            ub = log_upper_bound(q)
+            assert ub.denominator <= 2 ** 64
+            gap = mpmath.mpf(ub.numerator) / ub.denominator - mpmath.log(q)
+            assert 0 <= gap < mpmath.mpf(2) ** -63, q
+    assert log_upper_bound(1) == 0
     with pytest.raises(PreconditionError):
         log_upper_bound(0)
 
 
 def test_ratio_ceiling_vacuous_at_zero():
     assert ratio_ceiling(Fraction(0), 5) is None
-    assert ratio_ceiling(Fraction(1, 9), 1) >= 1
+    assert ratio_ceiling(Fraction(1, 9), 1) == 1

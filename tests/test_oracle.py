@@ -1,5 +1,6 @@
 """Brute-force ground-truth solvers: size guards and sanity directions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from scencover.core import (
     extend,
     validate_tree,
 )
+from scencover.generate import random_instance
 from scencover.oracle import (
+    DEFAULT_LIMITS,
     OracleBudgetError,
     OracleLimits,
     optimal_budgeted,
@@ -81,11 +84,36 @@ def zero_mass_nodes(tree, instance, b=None):
                      for s, child in tree.children.items())
 
 
+def equal_costs(inst, cost):
+    """The instance with every item costing `cost`: many items tie."""
+    return ScenarioInstance(inst.utility, inst.sample,
+                            CostVector((cost,) * inst.n), inst.alphabet)
+
+
+def larger_instances(count, seed):
+    """Binary instances of n = 7 and 8 items, beyond the default limits."""
+    rng = random.Random(seed)
+    for k in range(count):
+        inst, descriptor = random_instance(
+            rng, n=7 + k % 2, num_states=2, sample_size=rng.randint(4, 12),
+            family=FAMILIES[k % len(FAMILIES)],
+            universe_size=rng.randint(3, 6))
+        yield inst, descriptor
+
+
 def test_optimal_tree_matches_reference_recursion():
     families, states, zero_mass = set(), set(), 0
+    cases = []
     for _, inst, descriptor in instance_stream(60, base_seed=300, max_n=5,
                                                max_rows=6):
-        tree, cost = optimal_tree(inst)
+        cases.append((inst, descriptor, DEFAULT_LIMITS))
+        cases.append((equal_costs(inst, Fraction(3, 2)), descriptor,
+                      DEFAULT_LIMITS))
+    limits = OracleLimits(max_items=8, max_states=2, max_rows=12)
+    cases += [(inst, descriptor, limits)
+              for inst, descriptor in larger_instances(6, seed=11)]
+    for inst, descriptor, lim in cases:
+        tree, cost = optimal_tree(inst, lim)
         ref_tree, ref_cost = reference_optimal_tree(inst)
         assert tree == ref_tree
         assert cost == ref_cost
@@ -95,6 +123,7 @@ def test_optimal_tree_matches_reference_recursion():
     assert families == set(FAMILIES)
     assert states == {2, 3}
     assert zero_mass > 0
+    assert {inst.n for inst, _, _ in cases} >= {7, 8}
 
 
 def test_optimal_tree_budget_refusal():

@@ -32,7 +32,7 @@ from scencover.utility import (
     scenario_weight_utility,
     worst_state,
 )
-from conftest import instance_stream
+from conftest import FAMILIES, instance_stream, reference_min_progress_ratio
 
 U = UNKNOWN
 
@@ -235,6 +235,55 @@ def test_min_progress_ratio_matches_brute_force():
             continue
         assert report.ratio == _brute_rho(inst.utility)
         assert 0 <= report.ratio <= 1
+
+
+def test_min_progress_ratio_matches_reference_on_families():
+    families = set()
+    for _, inst, descriptor in instance_stream(60, base_seed=700, max_n=4,
+                                               max_rows=6):
+        families.add(descriptor["kind"])
+        try:
+            report = min_progress_ratio(inst.utility)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                reference_min_progress_ratio(inst.utility)
+            continue
+        reference = reference_min_progress_ratio(inst.utility)
+        assert (report.ratio, report.witness) == (reference.ratio,
+                                                  reference.witness)
+    assert families == set(FAMILIES)
+
+
+def random_table(rng, n, alphabet, goal):
+    """A table of values in 0..goal drawn from few levels, so that gains are
+    often negative and states often tie."""
+    levels = sorted({0, goal, rng.randint(0, goal), rng.randint(0, goal)})
+    return TableUtility(
+        {b: rng.choice(levels)
+         for b in enumerate_partials(alphabet, n)},
+        goal, n, alphabet)
+
+
+def test_min_progress_ratio_matches_reference_on_tables():
+    negative = tied = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        alphabet = StateAlphabet(("a", "b", "c")[:rng.randint(2, 3)])
+        g = random_table(rng, rng.randint(1, 3), alphabet, rng.randint(1, 6))
+        try:
+            report = min_progress_ratio(g)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                reference_min_progress_ratio(g)
+            continue
+        reference = reference_min_progress_ratio(g)
+        assert (report.ratio, report.witness) == (reference.ratio,
+                                                  reference.witness)
+        negative += report.ratio < 0
+        b, i, _ = report.witness
+        gains = [marginal(g, b, i, s) for s in alphabet]
+        tied += len(set(gains)) < len(gains)
+    assert negative > 0 and tied > 0
 
 
 def test_goal_verification():
