@@ -6,6 +6,7 @@ from .core import (
     CostVector,
     Leaf,
     Node,
+    OracleBudgetError,
     PreconditionError,
     ScencoverError,
     ScenarioInstance,
@@ -59,7 +60,6 @@ from .minsum import (
 )
 from .oracle import (
     DEFAULT_LIMITS,
-    OracleBudgetError,
     OracleLimits,
     optimal_budgeted,
     optimal_schedule,

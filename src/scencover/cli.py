@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .adaptivegreedy import scenario_adaptive_greedy
 from .core import (
+    OracleBudgetError,
     PreconditionError,
     ScencoverError,
     expected_cost,
@@ -29,7 +30,7 @@ from .mixedgreedy import (
     ratio_ceiling,
     scenario_mixed_greedy_tree,
 )
-from .oracle import OracleBudgetError, optimal_tree
+from .oracle import optimal_tree
 from .serialize import (
     ParseError,
     load_instance,
@@ -45,9 +46,6 @@ from .utility import (
 
 #: Explicit trees larger than this are emitted as per-row traces instead.
 MAX_TREE_NODES = 100_000
-
-#: Soft cap on (states+1)^n for the exhaustive property checkers.
-MAX_CHECK_SPACE = 300_000
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -98,12 +96,7 @@ def _strategy_document(tree, instance):
 
 def cmd_solve(args) -> int:
     instance, _ = load_instance(args.infile)
-    try:
-        tree, traces = _solve_tree(instance, args.algorithm)
-    except OracleBudgetError as exc:
-        print("refused: %s" % exc, file=sys.stderr)
-        return EXIT_REFUSED
-
+    tree, traces = _solve_tree(instance, args.algorithm)
     cost = expected_cost(tree, instance)
     validation = validate_tree(tree, instance)
     report = {
@@ -127,20 +120,14 @@ def _progress_bound(instance):
     """The mixed-greedy ratio ceiling and the report fields behind it.
 
     Returns (ceiling or None, {"rho", "eta", "ratio_ceiling"} as strings or
-    null).  Above MAX_CHECK_SPACE the exhaustive rho enumeration is not run:
-    rho reads "skipped" and "rho_reason" says why.
+    null).  When `enumerate_partials` refuses the exhaustive rho
+    enumeration, rho reads "skipped" and "rho_reason" says why.
     """
-    space = _partial_space(instance)
-    if space > MAX_CHECK_SPACE:
-        return None, {
-            "rho": "skipped",
-            "rho_reason": "(states+1)^n = %d partial realizations exceeds "
-                          "MAX_CHECK_SPACE = %d" % (space, MAX_CHECK_SPACE),
-            "eta": None,
-            "ratio_ceiling": None,
-        }
     try:
         progress = min_progress_ratio(instance.utility)
+    except OracleBudgetError as exc:
+        return None, {"rho": "skipped", "rho_reason": str(exc),
+                      "eta": None, "ratio_ceiling": None}
     except PreconditionError:
         return None, {"rho": None, "eta": None, "ratio_ceiling": None}
     ceiling = ratio_ceiling(progress.floor, instance.goal)
@@ -151,24 +138,10 @@ def _progress_bound(instance):
     }
 
 
-def _partial_space(instance) -> int:
-    """Number of partial realizations an exhaustive checker enumerates."""
-    return (len(instance.alphabet) + 1) ** instance.n
-
-
-def _check_space(instance) -> bool:
-    return _partial_space(instance) <= MAX_CHECK_SPACE
-
-
 def cmd_check(args) -> int:
     instance, _ = load_instance(args.infile)
     g = instance.utility
     prop = args.property
-    if prop != "goal" and not _check_space(instance):
-        print("refused: state space too large for exhaustive checking",
-              file=sys.stderr)
-        return EXIT_REFUSED
-
     if prop == "rho":
         try:
             progress = min_progress_ratio(g)
@@ -178,11 +151,7 @@ def cmd_check(args) -> int:
         print("rho = %s (eta = %s)" % (progress.ratio, progress.floor))
         return EXIT_OK
     if prop == "goal":
-        try:
-            ok = g.verify_goal_on_full()
-        except PreconditionError as exc:
-            print("refused: %s" % exc, file=sys.stderr)
-            return EXIT_REFUSED
+        ok = g.verify_goal_on_full()
         print("goal: %s" % ("reached on all realizations" if ok else "FAILED"))
         return EXIT_OK if ok else EXIT_FAILED
 
@@ -213,12 +182,16 @@ def cmd_gen(args) -> int:
     except ScencoverError as exc:
         print("generation failed: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    if _check_space(instance):
-        if not (check_monotone(instance.utility).ok
-                and check_submodular(instance.utility).ok
-                and instance.utility.verify_goal_on_full()):
-            print("generated instance failed post-validation", file=sys.stderr)
-            return EXIT_FAILED
+    try:
+        ok = (check_monotone(instance.utility).ok
+              and check_submodular(instance.utility).ok
+              and instance.utility.verify_goal_on_full())
+    except OracleBudgetError as exc:
+        print("post-validation skipped: %s" % exc, file=sys.stderr)
+        ok = True
+    if not ok:
+        print("generated instance failed post-validation", file=sys.stderr)
+        return EXIT_FAILED
     save_instance(args.outfile, instance, descriptor)
     print("wrote %s (n=%d, family=%s, seed=%d)"
           % (args.outfile, args.n, args.family, args.seed))

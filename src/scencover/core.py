@@ -41,6 +41,17 @@ class StructureError(ScencoverError):
     """A decision tree or instance is structurally malformed."""
 
 
+class OracleBudgetError(ScencoverError):
+    """An exhaustive enumeration was refused: it exceeds its budget."""
+
+
+#: Budget of `enumerate_partials`: most (states+1)^n partial realizations.
+MAX_CHECK_SPACE = 300_000
+
+#: Budget of `enumerate_realizations`: most states^n full realizations.
+MAX_REALIZATIONS = 200_000
+
+
 @dataclass(frozen=True)
 class StateAlphabet:
     """Ordered set of distinct state symbols.
@@ -97,12 +108,23 @@ def extend(b: tuple[str, ...], i: int, state: str) -> tuple[str, ...]:
 
 
 def enumerate_realizations(alphabet: StateAlphabet, n: int):
-    """All full realizations over the alphabet, in lexicographic order."""
+    """All full realizations over the alphabet, in lexicographic order;
+    refused (`OracleBudgetError`) above MAX_REALIZATIONS of them."""
+    space = len(alphabet) ** n
+    if space > MAX_REALIZATIONS:
+        raise OracleBudgetError("states^n = %d full realizations exceeds the "
+                                "enumeration budget of %d" % (space, MAX_REALIZATIONS))
     return itertools.product(alphabet.states, repeat=n)
 
 
 def enumerate_partials(alphabet: StateAlphabet, n: int):
-    """All partial realizations (unknown marker included), lexicographic."""
+    """All partial realizations (unknown marker included), lexicographic.
+    Every exhaustive checker walks them, so this carries their budget:
+    refused (`OracleBudgetError`) above MAX_CHECK_SPACE of them."""
+    space = (len(alphabet) + 1) ** n
+    if space > MAX_CHECK_SPACE:
+        raise OracleBudgetError("(states+1)^n = %d partial realizations exceeds "
+                                "MAX_CHECK_SPACE = %d" % (space, MAX_CHECK_SPACE))
     return itertools.product(alphabet.states + (UNKNOWN,), repeat=n)
 
 

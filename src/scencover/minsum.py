@@ -13,10 +13,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CostVector, PreconditionError
+from .core import CostVector, OracleBudgetError, PreconditionError
 from .budgeted import SetFunction, best_ratio
 
 Schedule = tuple  # of (item, Fraction time) pairs
+
+#: Most items whose n! orderings `item_orders` enumerates.
+MAX_SCHEDULE_ITEMS = 8
+
+
+def item_orders(items):
+    """All orderings of the items; refused (`OracleBudgetError`) above
+    MAX_SCHEDULE_ITEMS items, before enumerating."""
+    if len(items) > MAX_SCHEDULE_ITEMS:
+        raise OracleBudgetError("%d items exceed the permutation budget of %d"
+                                % (len(items), MAX_SCHEDULE_ITEMS))
+    return itertools.permutations(items)
 
 
 def make_schedule(pairs) -> Schedule:
@@ -163,7 +175,8 @@ class TruncatedBoundsReport:
 def check_truncated_bounds(items, f: SetFunction, costs: CostVector,
                            budget) -> TruncatedBoundsReport:
     """Check the budget-truncated greedy guarantees against every cover
-    schedule (all item permutations at full costs).
+    schedule (all item permutations at full costs).  Refused by
+    `item_orders` above MAX_SCHEDULE_ITEMS items, before any work.
 
     With d the last greedy step starting strictly before the budget, the
     greedy prefixes of d-1 and d pairs must cost at most 4 resp. 8 times any
@@ -171,6 +184,7 @@ def check_truncated_bounds(items, f: SetFunction, costs: CostVector,
     """
     budget = Fraction(budget)
     items = sorted(items)
+    orders = item_orders(items)
     job = make_job(f, costs, items)
     greedy = standard_greedy(items, f, costs)
     if length(greedy) < budget:
@@ -181,7 +195,7 @@ def check_truncated_bounds(items, f: SetFunction, costs: CostVector,
 
     worst4 = worst8 = None
     holds4 = holds8 = True
-    for perm in itertools.permutations(items):
+    for perm in orders:
         cover = full_cost_schedule(perm, costs)
         ref = schedule_cost(job, truncate(cover, budget))
         if ref == 0:

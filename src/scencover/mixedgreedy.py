@@ -23,6 +23,7 @@ from .budgeted import best_ratio, find_budget
 from .core import (
     UNKNOWN,
     CostVector,
+    OracleBudgetError,
     PreconditionError,
     ScenarioInstance,
     Strategy,
@@ -34,12 +35,7 @@ from .core import (
     materialize,
 )
 from .minsum import full_cost_schedule, make_job, schedule_cost
-from .oracle import (
-    DEFAULT_LIMITS,
-    OracleBudgetError,
-    OracleLimits,
-    optimal_tree,
-)
+from .oracle import optimal_tree
 from .utility import (
     UtilityFunction,
     marginal,
@@ -337,8 +333,7 @@ def stage_progress_holds(trace: InvocationTrace, goal: int) -> bool:
     return 9 * (trace.final_value - trace.entry_value) >= remaining
 
 
-def backbone_audit(instance: ScenarioInstance, b=None,
-                   limits: OracleLimits = DEFAULT_LIMITS) -> BackboneAudit:
+def backbone_audit(instance: ScenarioInstance, b=None) -> BackboneAudit:
     """Audit one invocation: reach probabilities, backbone cost, schedule
     costs, and the comparison against the induced-instance optimum."""
     if b is None:
@@ -372,7 +367,7 @@ def backbone_audit(instance: ScenarioInstance, b=None,
     assert full_cost == c_y, "backbone cost must equal its schedule cost"
 
     try:
-        _, opt = optimal_tree(induced_instance(instance, b), limits)
+        _, opt = optimal_tree(induced_instance(instance, b))
         status = "ok"
     except OracleBudgetError:
         opt = None

@@ -23,20 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    OracleBudgetError,
     PreconditionError,
     ScenarioInstance,
-    ScencoverError,
     Strategy,
     SuffixedStrategy,
     empty_partial,
     free_items,
     materialize,
 )
-from .minsum import full_cost_schedule, make_job, schedule_cost
-
-
-class OracleBudgetError(ScencoverError):
-    """The instance exceeds the oracle's enumeration budget."""
+from .minsum import full_cost_schedule, item_orders, make_job, schedule_cost
 
 
 @dataclass(frozen=True)
@@ -142,14 +138,13 @@ def optimal_budgeted(items, f, costs, budget):
 def optimal_schedule(items, f, costs):
     """Minimum schedule cost over all orderings of full-cost pairs."""
     items = sorted(items)
-    if len(items) > 8:
-        raise OracleBudgetError("too many items for permutation enumeration")
+    orders = item_orders(items)
     if f(frozenset()) == f(frozenset(items)):
         return (), Fraction(0)
     job = make_job(f, costs, items)
     best = None
     best_schedule = None
-    for perm in itertools.permutations(items):
+    for perm in orders:
         schedule = full_cost_schedule(perm, costs)
         cost = schedule_cost(job, schedule)
         if best is None or cost < best:

@@ -9,7 +9,6 @@ instance, keyed by the partial realization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from .core import (
     enumerate_realizations,
     extend,
     free_items,
-    set_items,
 )
 
 
@@ -45,17 +43,11 @@ class UtilityFunction:
     def _evaluate(self, b) -> int:
         raise NotImplementedError
 
-    def verify_goal_on_full(self, enumeration_budget: int = 200_000) -> bool:
-        """Check value(a) == goal on every full realization (if enumerable)."""
-        space = len(self.alphabet) ** self.n
-        if space > enumeration_budget:
-            raise PreconditionError(
-                "states^n = %d full realizations exceeds the enumeration "
-                "budget of %d" % (space, enumeration_budget))
-        return all(
-            self.value(a) == self.goal
-            for a in enumerate_realizations(self.alphabet, self.n)
-        )
+    def verify_goal_on_full(self) -> bool:
+        """Check value(a) == goal on every full realization; refused (by
+        `enumerate_realizations`) above MAX_REALIZATIONS of them."""
+        return all(self.value(a) == self.goal
+                   for a in enumerate_realizations(self.alphabet, self.n))
 
 
 def marginal(g: UtilityFunction, b, i: int, state: str) -> int:
@@ -223,30 +215,30 @@ def check_monotone(g: UtilityFunction) -> CheckReport:
     return CheckReport(True)
 
 
-def _strict_ancestors(b):
-    """All b0 with b > b0, obtained by unsetting nonempty subsets of set items."""
-    fixed = set_items(b)
-    for r in range(1, len(fixed) + 1):
-        for drop in itertools.combinations(fixed, r):
-            b0 = list(b)
-            for i in drop:
-                b0[i] = UNKNOWN
-            yield tuple(b0)
-
-
 def check_submodular(g: UtilityFunction) -> CheckReport:
-    """Exhaustive diminishing-gains check over all extension pairs.
+    """Exhaustive diminishing-gains check between each partial realization
+    b and its one-item extensions b' = b+(j,t).
 
-    Witness is (b, b_extended, i, state) with the gain at the extension
-    strictly larger than at the base.
+    This is the check over all pairs b1 < b2: setting the items of b2 that
+    b1 leaves free one at a time joins them by a chain of one-item
+    extensions, every item free in b2 free throughout, so the gains of a
+    free item i chain down from b1 to b2.  Witness is (b, b', i, state) with
+    the gain at b' strictly larger than at b.
     """
-    for b2 in enumerate_partials(g.alphabet, g.n):
-        frees = free_items(b2)
-        for b1 in _strict_ancestors(b2):
-            for i in frees:
-                for state in g.alphabet:
-                    if marginal(g, b1, i, state) < marginal(g, b2, i, state):
-                        return CheckReport(False, (b1, b2, i, state))
+    value = g.value
+    states = g.alphabet.states
+    for b in enumerate_partials(g.alphabet, g.n):
+        frees = free_items(b)
+        vb = value(b)
+        gains = {(i, s): value(extend(b, i, s)) - vb
+                 for i in frees for s in states}
+        for j in frees:
+            for t in states:
+                b2 = extend(b, j, t)
+                v2 = value(b2)
+                for (i, s), gain in gains.items():
+                    if i != j and gain < value(extend(b2, i, s)) - v2:
+                        return CheckReport(False, (b, b2, i, s))
     return CheckReport(True)
 
 
@@ -268,23 +260,31 @@ def expected_marginal(g: UtilityFunction, sample: WeightedSample, b, i: int):
 
 
 def check_adaptive_submodular(g: UtilityFunction, sample: WeightedSample) -> CheckReport:
-    """Exhaustive adaptive-submodularity check w.r.t. the sample distribution.
+    """Exhaustive adaptive-submodularity check w.r.t. the sample distribution,
+    between each partial realization b and its one-item extensions b'.
 
-    Pairs where either conditional expectation is undefined (zero consistent
-    weight) are skipped.  Witness is (b, b_extended, i) on failure.
+    A conditional expectation is undefined at zero consistent weight, so
+    pairs with W(b') = 0 (and hence those with W(b) = 0) are skipped.  This
+    is the check over all pairs b1 < b2 with W(b2) > 0: they are joined by a
+    chain of one-item extensions, each free item of b2 free throughout, and
+    every state on the chain extends to b2, so it carries weight >= W(b2) > 0
+    and no step of the chain is skipped.  Witness is (b, b', i) on failure.
     """
-    for b2 in enumerate_partials(g.alphabet, g.n):
-        if sample.weight_of(b2) == 0:
+    weight_of = sample.weight_of
+    states = g.alphabet.states
+    for b in enumerate_partials(g.alphabet, g.n):
+        if weight_of(b) == 0:
             continue
-        frees = free_items(b2)
-        for b1 in _strict_ancestors(b2):
-            if sample.weight_of(b1) == 0:
-                continue
-            for i in frees:
-                e1 = expected_marginal(g, sample, b1, i)
-                e2 = expected_marginal(g, sample, b2, i)
-                if e1 < e2:
-                    return CheckReport(False, (b1, b2, i))
+        frees = free_items(b)
+        gains = {i: expected_marginal(g, sample, b, i) for i in frees}
+        for j in frees:
+            for t in states:
+                b2 = extend(b, j, t)
+                if weight_of(b2) == 0:
+                    continue
+                for i, gain in gains.items():
+                    if i != j and gain < expected_marginal(g, sample, b2, i):
+                        return CheckReport(False, (b, b2, i))
     return CheckReport(True)
 
 

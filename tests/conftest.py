@@ -5,6 +5,7 @@ reproduce exactly.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from scencover.core import (
     extend,
     follow,
     free_items,
+    set_items,
 )
 from scencover.generate import random_instance, random_set_function
 from scencover.mixedgreedy import (
@@ -33,7 +35,13 @@ from scencover.mixedgreedy import (
     worst_case_realization,
 )
 from scencover.oracle import optimal_budgeted
-from scencover.utility import ProgressReport, marginal, worst_state
+from scencover.utility import (
+    CheckReport,
+    ProgressReport,
+    expected_marginal,
+    marginal,
+    worst_state,
+)
 
 FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
@@ -417,3 +425,46 @@ def reference_min_progress_ratio(g):
     if best is None:
         raise PreconditionError("no valid (b, i, state) triple to minimize over")
     return ProgressReport(best, witness)
+
+
+def _strict_ancestors(b):
+    """All b0 with b > b0, obtained by unsetting nonempty subsets of set items."""
+    fixed = set_items(b)
+    for r in range(1, len(fixed) + 1):
+        for drop in itertools.combinations(fixed, r):
+            b0 = list(b)
+            for i in drop:
+                b0[i] = UNKNOWN
+            yield tuple(b0)
+
+
+def reference_check_submodular(g):
+    """Diminishing gains between every partial realization and each of its
+    strict ancestors.  Witness is (b1, b2, i, state) with b1 < b2."""
+    for b2 in enumerate_partials(g.alphabet, g.n):
+        frees = free_items(b2)
+        for b1 in _strict_ancestors(b2):
+            for i in frees:
+                for state in g.alphabet:
+                    if marginal(g, b1, i, state) < marginal(g, b2, i, state):
+                        return CheckReport(False, (b1, b2, i, state))
+    return CheckReport(True)
+
+
+def reference_check_adaptive_submodular(g, sample):
+    """Adaptive submodularity between every partial realization of positive
+    weight and each of its strict ancestors of positive weight.  Witness is
+    (b1, b2, i) with b1 < b2."""
+    for b2 in enumerate_partials(g.alphabet, g.n):
+        if sample.weight_of(b2) == 0:
+            continue
+        frees = free_items(b2)
+        for b1 in _strict_ancestors(b2):
+            if sample.weight_of(b1) == 0:
+                continue
+            for i in frees:
+                e1 = expected_marginal(g, sample, b1, i)
+                e2 = expected_marginal(g, sample, b2, i)
+                if e1 < e2:
+                    return CheckReport(False, (b1, b2, i))
+    return CheckReport(True)

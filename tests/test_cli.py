@@ -6,13 +6,26 @@ from fractions import Fraction
 
 import pytest
 
-from scencover import cli
-from scencover.cli import MAX_CHECK_SPACE, main
+from scencover import utility
+from scencover.cli import main
+from scencover.core import MAX_CHECK_SPACE
 from scencover.serialize import dumps_document
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def refuse_partials_only(monkeypatch):
+    """Fail the test if `utility`'s enumerate_partials admits an
+    enumeration instead of refusing it."""
+    admitted = utility.enumerate_partials
+
+    def enumerate_or_fail(alphabet, n):
+        admitted(alphabet, n)
+        raise AssertionError("enumerate_partials admitted n=%d" % n)
+
+    monkeypatch.setattr(utility, "enumerate_partials", enumerate_or_fail)
 
 
 def k_of_n_doc(n=3, k=2):
@@ -122,12 +135,22 @@ def test_check_goal_refused_above_enumeration_budget(tmp_path, capsys):
     assert str(2 ** 18) in err and "Traceback" not in err
 
 
+def test_check_submodular_refused_above_check_space(tmp_path, capsys):
+    # 3^12 partial realizations exceed enumerate_partials' budget
+    infile = tmp_path / "wide.json"
+    assert run(["gen", "--seed", 1, "--n", 12, "--family", "coverage",
+                "--out", infile]) == 0
+    capsys.readouterr()
+    assert run(["check", "--property", "submodular", "--in", infile]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ")
+    assert str(3 ** 12) in err and str(MAX_CHECK_SPACE) in err
+    assert "Traceback" not in err
+
+
 def test_solve_skips_rho_above_check_space(tmp_path, monkeypatch):
     # (3+1)^14 partial realizations: the unguarded rho enumeration hangs
-    def enumeration_refused(*args, **kwargs):
-        raise AssertionError("min_progress_ratio ran above MAX_CHECK_SPACE")
-
-    monkeypatch.setattr(cli, "min_progress_ratio", enumeration_refused)
+    refuse_partials_only(monkeypatch)
     infile = tmp_path / "wide.json"
     assert run(["gen", "--seed", 3, "--n", 14, "--states", 3,
                 "--family", "coverage", "--sample-size", 8,
@@ -227,10 +250,7 @@ def test_bench_directory(tmp_path, capsys):
 
 def test_bench_skips_rho_above_check_space(tmp_path, monkeypatch):
     # the bench row shares solve's guard on the rho enumeration
-    def enumeration_refused(*args, **kwargs):
-        raise AssertionError("min_progress_ratio ran above MAX_CHECK_SPACE")
-
-    monkeypatch.setattr(cli, "min_progress_ratio", enumeration_refused)
+    refuse_partials_only(monkeypatch)
     d = tmp_path / "wide"
     d.mkdir()
     assert run(["gen", "--seed", 3, "--n", 14, "--states", 3,

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scencover.core import (
+    MAX_CHECK_SPACE,
+    MAX_REALIZATIONS,
     UNKNOWN,
     CostVector,
     Leaf,
     Node,
+    OracleBudgetError,
     PreconditionError,
     ScenarioInstance,
     StateAlphabet,
     StructureError,
     WeightedSample,
     empty_partial,
+    enumerate_partials,
+    enumerate_realizations,
     expected_cost,
     extend,
     follow,
@@ -78,6 +83,29 @@ def test_set_and_free_items():
 SAMPLE = WeightedSample(
     ((("0", "0"), 1), (("0", "1"), 2), (("1", "1"), 3))
 )
+
+
+def test_enumerate_partials_refused_above_budget():
+    three = StateAlphabet(("0", "1", "2"))
+    with pytest.raises(OracleBudgetError) as refused:
+        enumerate_partials(three, 14)
+    assert str(4 ** 14) in str(refused.value)
+    assert "300000" in str(refused.value)
+    # the budget is inclusive: 3^11 <= 300,000 < 3^12
+    assert MAX_CHECK_SPACE == 300_000
+    assert len(list(enumerate_partials(BINARY, 11))) == 3 ** 11
+    with pytest.raises(OracleBudgetError):
+        enumerate_partials(BINARY, 12)
+
+
+def test_enumerate_realizations_refused_above_budget():
+    # 2^17 <= 200,000 < 2^18
+    assert MAX_REALIZATIONS == 200_000
+    assert len(list(enumerate_realizations(BINARY, 17))) == 2 ** 17
+    with pytest.raises(OracleBudgetError) as refused:
+        enumerate_realizations(BINARY, 18)
+    assert str(2 ** 18) in str(refused.value)
+    assert "200000" in str(refused.value)
 
 
 def test_consistent_rows():

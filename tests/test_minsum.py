@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from scencover.core import CostVector, PreconditionError, WeightedSample
+from scencover import minsum, oracle
+from scencover.core import (
+    CostVector,
+    OracleBudgetError,
+    PreconditionError,
+    WeightedSample,
+)
 from scencover.generate import random_set_function
 from scencover.minsum import (
     budget_cut_index,
@@ -145,6 +151,22 @@ def test_check_truncated_bounds_at_full_length():
     g = standard_greedy(items, f, costs)
     report = check_truncated_bounds(items, f, costs, length(g))
     assert report.holds_factor4 and report.holds_factor8
+
+
+def test_permutation_checks_refuse_nine_items(monkeypatch):
+    # 9! cover schedules: refused before any schedule is costed
+    def never(*args):
+        raise AssertionError("schedule_cost ran on 9 items")
+
+    monkeypatch.setattr(minsum, "schedule_cost", never)
+    monkeypatch.setattr(oracle, "schedule_cost", never)
+    items = list(range(9))
+    f = additive([1] * 9)
+    costs = CostVector((Fraction(1),) * 9)
+    with pytest.raises(OracleBudgetError):
+        check_truncated_bounds(items, f, costs, Fraction(2))
+    with pytest.raises(OracleBudgetError):
+        optimal_schedule(items, f, costs)
 
 
 def test_check_truncated_bounds_rejects_long_budget():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from scencover.core import (
     extend,
     free_items,
 )
+from scencover.generate import random_coverage_utility, random_sample
 from scencover.utility import (
     BINARY,
     CountEliminationUtility,
@@ -26,13 +28,20 @@ from scencover.utility import (
     check_adaptive_submodular,
     check_monotone,
     check_submodular,
+    expected_marginal,
     marginal,
     min_progress_ratio,
     scenario_count_utility,
     scenario_weight_utility,
     worst_state,
 )
-from conftest import FAMILIES, instance_stream, reference_min_progress_ratio
+from conftest import (
+    FAMILIES,
+    instance_stream,
+    reference_check_adaptive_submodular,
+    reference_check_submodular,
+    reference_min_progress_ratio,
+)
 
 U = UNKNOWN
 
@@ -189,6 +198,68 @@ def test_check_adaptive_submodular_g_w():
                                       families=("coverage", "k_of_n")):
         gw = scenario_weight_utility(inst.utility, inst.sample)
         assert check_adaptive_submodular(gw, inst.sample).ok
+
+
+def near_coverage_case(seed):
+    """A coverage utility's table with 0-2 entries redrawn, and a random
+    sample: near enough to coverage that both verdicts occur."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    alphabet = StateAlphabet(("a", "b", "c")[:rng.randint(2, 3)])
+    g, _ = random_coverage_utility(rng, n, alphabet, rng.randint(1, 4))
+    table = {b: g.value(b) for b in enumerate_partials(alphabet, n)}
+    for b in rng.sample(sorted(table), rng.randint(0, 2)):
+        table[b] = rng.randint(0, g.goal)
+    sample = random_sample(rng, alphabet, n, rng.randint(1, 6))
+    return TableUtility(table, g.goal, n, alphabet), sample
+
+
+def one_item_extension(b, b2):
+    """True iff b2 sets exactly one item that b leaves unknown."""
+    changed = [k for k, (s, s2) in enumerate(zip(b, b2)) if s != s2]
+    return len(changed) == 1 and b[changed[0]] == U
+
+
+def test_one_step_checkers_match_all_pairs_reference():
+    verdicts = Counter()
+    for seed in range(1000):
+        g, sample = near_coverage_case(seed)
+        report = check_submodular(g)
+        assert report.ok == reference_check_submodular(g).ok, seed
+        verdicts["submodular", report.ok] += 1
+        if not report.ok:
+            b, b2, i, s = report.witness
+            assert one_item_extension(b, b2) and b2[i] == U
+            assert marginal(g, b, i, s) < marginal(g, b2, i, s)
+        report = check_adaptive_submodular(g, sample)
+        assert report.ok == reference_check_adaptive_submodular(g, sample).ok, seed
+        verdicts["adaptive", report.ok] += 1
+        if not report.ok:
+            b, b2, i = report.witness
+            assert one_item_extension(b, b2) and b2[i] == U
+            assert sample.weight_of(b2) > 0
+            assert (expected_marginal(g, sample, b, i)
+                    < expected_marginal(g, sample, b2, i))
+    # every verdict occurs often
+    assert min(verdicts.values()) >= 100 and len(verdicts) == 4
+
+
+def test_check_submodular_value_calls_bounded():
+    # one-item extensions only: 4 calls per (b, j, t, i, s) at most, which
+    # the all-ancestor check exceeds many times over
+    s, n = 2, 6
+    g, _ = random_coverage_utility(random.Random(6), n, BINARY)
+    evaluate = g.value
+    calls = 0
+
+    def counted(b):
+        nonlocal calls
+        calls += 1
+        return evaluate(b)
+
+    g.value = counted
+    assert check_submodular(g).ok
+    assert 0 < calls <= 4 * s ** 2 * n * (n - 1) * (s + 1) ** (n - 2)
 
 
 def _brute_rho(g):
