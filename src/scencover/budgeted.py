@@ -11,6 +11,7 @@ optimum, where chi solves e^chi = 2 - chi.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -72,8 +73,44 @@ def best_ratio(items: Iterable[int], gain: Callable[[int], "int | Fraction"],
     return best
 
 
+class GreedyOrder:
+    """Wolsey's greedy picks over one eligible set, made when first needed.
+
+    Each pick is the best-ratio item (`best_ratio`) among the items not yet
+    picked, by gain f(picked + {i}) - f(picked).  The picks depend only on
+    the eligible set, `f` and `costs`, never on the budget, so the picks at
+    any budget are a prefix of this one order.  `sets[k]` is the set of the
+    first k picks, `values[k]` its f value and `spent[k]` its cost units.
+    """
+
+    def __init__(self, eligible, f: SetFunction, costs: CostVector):
+        self.f, self.costs = f, costs
+        self.remaining = list(eligible)
+        self.picks: list[int] = []
+        self.sets = [frozenset()]
+        self.values = [f(frozenset())]
+        self.spent = [0]
+
+    def prefix(self, cap: int) -> int:
+        """The number of picks the greedy makes at `cap` units: it picks
+        until the spent units exceed `cap` or no item is left."""
+        f, costs = self.f, self.costs
+        spent, remaining = self.spent, self.remaining
+        while spent[-1] <= cap and remaining:
+            current, base = self.sets[-1], self.values[-1]
+            best = best_ratio(remaining, lambda i: f(current | {i}) - base,
+                              costs)
+            remaining.remove(best)
+            self.picks.append(best)
+            current = current | {best}
+            self.sets.append(current)
+            self.values.append(f(current))
+            spent.append(spent[-1] + costs.units[best])
+        return min(bisect.bisect_right(spent, cap), len(self.picks))
+
+
 def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
-                  budget: Fraction) -> frozenset:
+                  budget: Fraction, orders: dict | None = None) -> frozenset:
     """Greedy budgeted maximization with last-step overshoot.
 
     Picks the best-ratio item among those with cost <= budget until the total
@@ -81,33 +118,31 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     of {last item} and the picked set minus the last item.  Ties break on the
     lowest item index.  Returns the empty set if nothing is affordable.
 
+    The picks depend on the budget only through the eligible set and where
+    they stop, so they are a prefix of the one `GreedyOrder` of that set.
+    `orders`, if given, maps eligible tuples to their orders for one `f` and
+    `costs` and is filled as orders are made; it changes no result, and a
+    call without it makes a fresh order.
+
     Costs are compared in integer units: for an integer s of units,
     s <= budget*L and s > budget*L hold exactly when they hold against
     floor(budget*L), with L = `costs.scale`.
     """
     units = costs.units
     cap = math.floor(Fraction(budget) * costs.scale)
-    eligible = sorted(i for i in items if units[i] <= cap)
+    eligible = tuple(sorted(i for i in items if units[i] <= cap))
     if not eligible:
         return frozenset()
-    chosen: list[int] = []
-    spent = 0
-    current = frozenset()
-    base = f(current)
-    while True:
-        best = best_ratio(eligible, lambda i: f(current | {i}) - base, costs)
-        chosen.append(best)
-        eligible.remove(best)
-        spent += units[best]
-        current = current | {best}
-        base = f(current)
-        if spent > cap or not eligible:
-            break
-    last = chosen[-1]
-    rest = current - {last}
-    if f(frozenset({last})) >= f(rest):
+    if orders is None:
+        orders = {}
+    order = orders.get(eligible)
+    if order is None:
+        order = orders[eligible] = GreedyOrder(eligible, f, costs)
+    k = order.prefix(cap)
+    last = order.picks[k - 1]
+    if f(frozenset({last})) >= order.values[k - 1]:
         return frozenset({last})
-    return rest
+    return order.sets[k - 1]
 
 
 GRID_BITS = 20
@@ -159,7 +194,9 @@ def find_budget(items: Iterable[int], f: SetFunction,
     returned budget is feasible, and the candidate just below it (if any)
     is not.  Candidates stay in integer units during the search, each probe
     runs `wolsey_greedy` at the budget `Fraction(k, costs.scale)`, and that
-    `Fraction` is returned.
+    `Fraction` is returned.  The probes share one dict of greedy orders, so
+    probes with the same eligible set extend one order instead of redoing
+    its picks; the dict changes no probe's result.
     """
     items = sorted(items)
     full_value = f(frozenset(items))
@@ -167,10 +204,11 @@ def find_budget(items: Iterable[int], f: SetFunction,
         raise PreconditionError("set function must be positive on all items")
     target_num = ALPHA * full_value
     scale = costs.scale
+    orders: dict = {}
 
     def feasible(k):
         budget = Fraction(k, scale)
-        return f(wolsey_greedy(items, f, costs, budget)) >= target_num
+        return f(wolsey_greedy(items, f, costs, budget, orders)) >= target_num
 
     candidates = budget_candidates(items, costs)
     if not feasible(candidates[-1]):

@@ -52,14 +52,27 @@ def execute_online(strategy: Strategy, reveal, costs: CostVector):
     """
     b = empty_partial(len(costs))
     chosen = []
-    total = Fraction(0)
+    units = costs.units
+    total = 0  # in cost units
     while True:
         i = strategy.next_item(b)
         if i is None:
-            return tuple(chosen), total, b
+            return tuple(chosen), Fraction(total, costs.scale), b
         chosen.append(i)
-        total += costs[i]
+        total += units[i]
         b = extend(b, i, reveal(i))
+
+
+def anchored(b, items, sigma: dict):
+    """b with each of `items` set to its anchor state sigma[i], built in
+    one pass.  Every item must be free in b."""
+    cur = list(b)
+    for i in items:
+        if cur[i] != UNKNOWN:
+            raise PreconditionError("position %d is already set to %r"
+                                    % (i, cur[i]))
+        cur[i] = sigma[i]
+    return tuple(cur)
 
 
 def worst_case_realization(g: UtilityFunction, b) -> dict:
@@ -78,10 +91,7 @@ def weight_removal_function(instance: ScenarioInstance, b, sigma: dict):
     wb = sample.weight_of(b)
 
     def h(r: frozenset) -> int:
-        anchored = b
-        for i in r:
-            anchored = extend(anchored, i, sigma[i])
-        return wb - sample.weight_of(anchored)
+        return wb - sample.weight_of(anchored(b, r, sigma))
 
     return h
 
@@ -126,10 +136,7 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     sigma = worst_case_realization(g, b)
 
     def anchored_gain(u: frozenset) -> int:
-        cur = b
-        for i in u:
-            cur = extend(cur, i, sigma[i])
-        return g.value(cur) - gb
+        return g.value(anchored(b, u, sigma)) - gb
 
     budget = find_budget(frees, functools.cache(anchored_gain), costs)
     # the budget in integer cost units: for an int s, s <= budget*L iff

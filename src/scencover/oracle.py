@@ -117,11 +117,18 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
     return tree, Fraction(optimum, total_weight * instance.costs.scale)
 
 
+#: Budget of `optimal_budgeted`: most items whose 2^n subsets it walks.
+MAX_SUBSET_ITEMS = 20
+
+
 def optimal_budgeted(items, f, costs, budget):
-    """Exhaustive max of f over subsets of items with total cost <= budget."""
+    """Exhaustive max of f over subsets of items with total cost <= budget;
+    refused (`OracleBudgetError`) above MAX_SUBSET_ITEMS items, before any
+    call of f."""
     items = sorted(items)
-    if len(items) > 20:
-        raise OracleBudgetError("too many items for exhaustive subsets")
+    if len(items) > MAX_SUBSET_ITEMS:
+        raise OracleBudgetError("%d items exceed the exhaustive subset budget "
+                                "of %d" % (len(items), MAX_SUBSET_ITEMS))
     budget = Fraction(budget)
     best_set = frozenset()
     best_value = f(frozenset())

@@ -369,7 +369,7 @@ def reference_invocation_plan(instance, b):
     )
 
 
-# Path costs and the progress ratio with `Fraction` arithmetic: the
+# Path and session costs and the progress ratio with `Fraction` arithmetic: the
 # references that the integer versions must reproduce exactly.
 
 def reference_follow(tree, a, costs):
@@ -390,6 +390,20 @@ def reference_follow(tree, a, costs):
     if not isinstance(node, Leaf):
         raise StructureError("malformed tree node %r" % (node,))
     return total, b
+
+
+def reference_execute_online(strategy, reveal, costs):
+    """`execute_online` adding the session's `Fraction` costs."""
+    b = empty_partial(len(costs))
+    chosen = []
+    total = Fraction(0)
+    while True:
+        i = strategy.next_item(b)
+        if i is None:
+            return tuple(chosen), total, b
+        chosen.append(i)
+        total += costs[i]
+        b = extend(b, i, reveal(i))
 
 
 def reference_expected_cost(tree, instance):

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
+from scencover import budgeted
 from scencover.budgeted import (
     ALPHA,
     CHI_TOLERANCE,
@@ -187,6 +188,67 @@ def test_wolsey_greedy_matches_fraction_reference(problem, data):
     for budget in (near_sum, anywhere):
         assert (wolsey_greedy(items, f, costs, budget)
                 == reference_wolsey_greedy(items, f, costs, budget))
+
+
+@given(budget_problems(), st.data())
+def test_shared_greedy_orders_match_fraction_reference(problem, data):
+    # one dict of orders across budgets in random order, repeats included:
+    # subset sums and 1/997 either side, below 0 and above the total
+    costs, f = problem
+    items = list(range(len(costs)))
+    total = costs.total()
+    subset_sums = st.lists(st.booleans(), min_size=len(items),
+                           max_size=len(items)).map(
+        lambda picked: sum((costs[i] for i, p in zip(items, picked) if p),
+                           Fraction(0)))
+    offsets = st.sampled_from([Fraction(-1, 997), Fraction(0),
+                               Fraction(1, 997)])
+    budget = st.one_of(
+        st.builds(lambda s, d: s + d, subset_sums, offsets),
+        st.fractions(min_value=-3, max_value=Fraction(-1, 997),
+                     max_denominator=997),
+        st.fractions(min_value=Fraction(1, 997), max_value=3,
+                     max_denominator=997).map(lambda d: total + d),
+    )
+    budgets = data.draw(st.lists(budget, min_size=1, max_size=12))
+    budgets += data.draw(st.permutations(budgets))
+    orders: dict = {}
+    for b in budgets:
+        assert (wolsey_greedy(items, f, costs, b, orders)
+                == reference_wolsey_greedy(items, f, costs, b))
+
+
+@pytest.mark.parametrize("seed", [5, 9, 12])
+def test_find_budget_ranks_each_greedy_round_once(seed, monkeypatch):
+    # a greedy round ranks the remaining eligible items against the set
+    # picked so far; the probes of one search share their rounds, so none is
+    # ranked twice.  The remaining list alone does not name a round: after
+    # different picks two eligible sets can leave the same list (seeds 5
+    # and 9), so the picked set is read from the first gain's f argument
+    rng = random.Random(seed)
+    n = 12
+    coverage = random_set_function(rng, n, universe_size=10)
+    costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
+    expected = reference_find_budget(range(n), coverage, costs)
+    args = []
+
+    def f(r):
+        args.append(r)
+        return coverage(r)
+
+    rounds = []
+
+    def recording(items, gain, costs):
+        items = list(items)
+        start = len(args)
+        best = best_ratio(items, gain, costs)
+        rounds.append((tuple(items), args[start] - {items[0]}))
+        return best
+
+    monkeypatch.setattr(budgeted, "best_ratio", recording)
+    assert find_budget(range(n), f, costs) == expected
+    assert rounds
+    assert len(set(rounds)) == len(rounds)
 
 
 @given(budget_problems())

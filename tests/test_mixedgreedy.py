@@ -26,8 +26,10 @@ from scencover.core import (
     materialize,
     validate_tree,
 )
+from scencover.adaptivegreedy import scenario_adaptive_greedy
 from scencover.mixedgreedy import (
     MixedGreedyStrategy,
+    anchored,
     backbone_audit,
     execute_online,
     invocation_plan,
@@ -47,6 +49,7 @@ from conftest import (
     FAMILIES,
     instance_stream,
     is_extension,
+    reference_execute_online,
     reference_invocation_plan,
     reference_mixed_greedy,
     reference_scenario_mixed_greedy_tree,
@@ -210,6 +213,34 @@ def test_online_matches_materialized():
             )
             assert cost_t == cost_p
             assert term_t == term_p
+
+
+def test_online_sessions_match_fraction_reference():
+    # every policy, on sample rows and on uniform realizations
+    policies = (MixedGreedyStrategy, scenario_mixed_greedy,
+                scenario_adaptive_greedy)
+    sessions = 0
+    for seed, inst, _ in instance_stream(30, base_seed=9600, max_n=7):
+        rng = random.Random(seed)
+        realizations = [a for a, _ in inst.sample.rows[:3]] + [
+            tuple(rng.choice(inst.alphabet.states) for _ in range(inst.n))
+            for _ in range(3)]
+        for policy in policies:
+            strategy = policy(inst)
+            for a in realizations:
+                out = execute_online(strategy, a.__getitem__, inst.costs)
+                assert type(out[1]) is Fraction
+                assert out == reference_execute_online(
+                    policy(inst), a.__getitem__, inst.costs), (seed, a)
+                sessions += 1
+    assert sessions >= 3 * 30 * 4
+
+
+def test_anchored_refuses_a_set_item():
+    sigma = {0: "1", 2: "0"}
+    assert anchored((U, "1", U), (2, 0), sigma) == ("1", "1", "0")
+    with pytest.raises(PreconditionError):
+        anchored((U, "1", U), (1,), {1: "0"})
 
 
 def test_trees_match_reference_recursion():

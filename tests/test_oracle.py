@@ -19,6 +19,7 @@ from scencover.core import (
 from scencover.generate import random_instance
 from scencover.oracle import (
     DEFAULT_LIMITS,
+    MAX_SUBSET_ITEMS,
     OracleBudgetError,
     OracleLimits,
     optimal_budgeted,
@@ -150,6 +151,16 @@ def test_optimal_budgeted_trivial_budgets():
     assert optimal_budgeted([0, 1], f, costs, Fraction(3)) == (
         frozenset({0, 1}), 5
     )
+
+
+def test_optimal_budgeted_refuses_21_items():
+    # 2^21 subsets: refused before f sees any of them
+    def never(r):
+        raise AssertionError("f ran on 21 items")
+
+    assert MAX_SUBSET_ITEMS == 20
+    with pytest.raises(OracleBudgetError, match=r"\b21\b.*\b20\b"):
+        optimal_budgeted(range(21), never, unit_costs(21), Fraction(3))
 
 
 def test_optimal_schedule_single_item():
