@@ -369,8 +369,8 @@ def reference_invocation_plan(instance, b):
     )
 
 
-# Path and session costs and the progress ratio with `Fraction` arithmetic: the
-# references that the integer versions must reproduce exactly.
+# Path and session costs and the progress ratio with `Fraction` arithmetic:
+# the references that the integer versions must reproduce exactly.
 
 def reference_follow(tree, a, costs):
     """`follow` adding the path's `Fraction` costs."""

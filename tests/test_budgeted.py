@@ -238,10 +238,10 @@ def test_find_budget_ranks_each_greedy_round_once(seed, monkeypatch):
 
     rounds = []
 
-    def recording(items, gain, costs):
+    def recording(items, gain, cost_vector):
         items = list(items)
         start = len(args)
-        best = best_ratio(items, gain, costs)
+        best = best_ratio(items, gain, cost_vector)
         rounds.append((tuple(items), args[start] - {items[0]}))
         return best
 
