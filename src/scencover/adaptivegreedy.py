@@ -18,11 +18,14 @@ from .core import (
     SuffixedStrategy,
     free_items,
 )
-from .utility import UtilityFunction, extend, scenario_weight_utility
+from .utility import UtilityFunction, scenario_weight_utility
 
 
 class AdaptiveGreedyStrategy(Strategy):
     """Stateless greedy policy: maximize conditional expected gain / cost.
+
+    Each call derives b's utility state and row mask once, then scores each
+    (item, state) with one `step` and one `step_mask`.
 
     On partial realizations with no consistent sample mass the conditional
     expectation is undefined.  There every score is 0, so `best_ratio`
@@ -40,18 +43,24 @@ class AdaptiveGreedyStrategy(Strategy):
 
     def next_item(self, b):
         g = self.utility
-        if g.value(b) == g.goal:
+        state = g.state_of(b)
+        gb = g.level(state)
+        if gb == g.goal:
             return None
         frees = free_items(b)
         if not frees:
             raise PreconditionError("goal unreachable: no items left")
-        gb = g.value(b)
+        mask = self.sample.mask_of(b)
+        step, level = g.step, g.level
+        step_mask, mass = self.sample.step_mask, self.sample.mass
+        states = g.alphabet.states
 
         def score(i):  # unnormalized: sum over states of weight * gain
             total = 0
-            for s in g.alphabet:
-                b_ext = extend(b, i, s)
-                total += self.sample.weight_of(b_ext) * (g.value(b_ext) - gb)
+            for s in states:
+                w = mass(step_mask(mask, i, s))
+                if w:
+                    total += w * (level(step(state, i, s)) - gb)
             return total
 
         return best_ratio(frees, score, self.costs)

@@ -7,6 +7,11 @@ within the budget, allow the budget to be overshot by the last pick, then
 return whichever of {last item} / {everything but the last item} is better.
 Its value is guaranteed to be at least alpha = 1 - e^(-chi) times the
 optimum, where chi solves e^chi = 2 - chi.
+
+The greedy only ever asks for the value of the picked set plus one item, so
+it reads its set function incrementally (`IncrementalFunction`): from the
+state of the picked set, one `add` per candidate.  A plain function of
+frozensets is read through `incremental`, whose state is the set itself.
 """
 
 from __future__ import annotations
@@ -21,6 +26,45 @@ from typing import Callable, Iterable
 from .core import CostVector, PreconditionError
 
 SetFunction = Callable[[frozenset], "int | Fraction"]
+
+
+class IncrementalFunction:
+    """A set function read one added item at a time.
+
+    `root()` is the state of the empty set, `add(state, i)` the state of
+    that state's set plus item i (not in it), and `value(state)` the set's
+    value; the state of a set must not depend on the order its items were
+    added in.  Calling the function on a frozenset folds `add` over it, so
+    it is also a `SetFunction`.  `known` maps frozensets to their values:
+    calls read and fill it, and `wolsey_greedy` adds each set it returns.
+    """
+
+    __slots__ = ("_root", "add", "value", "known")
+
+    def __init__(self, root, add: Callable, value: Callable):
+        self._root, self.add, self.value = root, add, value
+        self.known: dict = {}
+
+    def root(self):
+        return self._root
+
+    def __call__(self, r: frozenset):
+        v = self.known.get(r)
+        if v is None:
+            state = self._root
+            for i in r:
+                state = self.add(state, i)
+            v = self.known[r] = self.value(state)
+        return v
+
+
+def incremental(f) -> IncrementalFunction:
+    """f itself if it is incremental, else the plain set function f read
+    incrementally: the state is the frozenset, `add` a union."""
+    if isinstance(f, IncrementalFunction):
+        return f
+    return IncrementalFunction(frozenset(), lambda r, i: r | {i}, f)
+
 
 #: Residual tolerance for the root of e^chi = 2 - chi.
 CHI_TOLERANCE = 1e-12
@@ -77,39 +121,53 @@ class GreedyOrder:
     """Wolsey's greedy picks over one eligible set, made when first needed.
 
     Each pick is the best-ratio item (`best_ratio`) among the items not yet
-    picked, by gain f(picked + {i}) - f(picked).  The picks depend only on
-    the eligible set, `f` and `costs`, never on the budget, so the picks at
-    any budget are a prefix of this one order.  `sets[k]` is the set of the
-    first k picks, `values[k]` its f value and `spent[k]` its cost units.
+    picked, by gain f(picked + {i}) - f(picked), read from the picked set's
+    state with one `add` per item.  The picks depend only on the eligible
+    set, `f` and `costs`, never on the budget, so the picks at any budget
+    are a prefix of this one order.  `sets[k]` is the set of the first k
+    picks, `values[k]` its f value and `spent[k]` its cost units, and
+    `singles[i]` is the value of {i}, read off the first round's gains.
     """
 
-    def __init__(self, eligible, f: SetFunction, costs: CostVector):
-        self.f, self.costs = f, costs
+    def __init__(self, eligible, f, costs: CostVector):
+        self.f, self.costs = incremental(f), costs
         self.remaining = list(eligible)
         self.picks: list[int] = []
+        self.state = self.f.root()
         self.sets = [frozenset()]
-        self.values = [f(frozenset())]
+        self.values = [self.f.value(self.state)]
         self.spent = [0]
+        self.singles: dict = {}
 
     def prefix(self, cap: int) -> int:
         """The number of picks the greedy makes at `cap` units: it picks
         until the spent units exceed `cap` or no item is left."""
-        f, costs = self.f, self.costs
+        add, value = self.f.add, self.f.value
+        units = self.costs.units
         spent, remaining = self.spent, self.remaining
         while spent[-1] <= cap and remaining:
-            current, base = self.sets[-1], self.values[-1]
-            best = best_ratio(remaining, lambda i: f(current | {i}) - base,
-                              costs)
+            state, base = self.state, self.values[-1]
+            reached = {}  # item -> (state, value) of the picked set plus it
+
+            def gain(i):
+                after = add(state, i)
+                v = value(after)
+                reached[i] = after, v
+                return v - base
+
+            best = best_ratio(remaining, gain, self.costs)
+            if not self.picks:
+                self.singles = {i: v for i, (_, v) in reached.items()}
             remaining.remove(best)
             self.picks.append(best)
-            current = current | {best}
-            self.sets.append(current)
-            self.values.append(f(current))
-            spent.append(spent[-1] + costs.units[best])
+            self.state, v = reached[best]
+            self.sets.append(self.sets[-1] | {best})
+            self.values.append(v)
+            spent.append(spent[-1] + units[best])
         return min(bisect.bisect_right(spent, cap), len(self.picks))
 
 
-def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
+def wolsey_greedy(items: Iterable[int], f, costs: CostVector,
                   budget: Fraction, orders: dict | None = None) -> frozenset:
     """Greedy budgeted maximization with last-step overshoot.
 
@@ -117,6 +175,7 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     spent exceeds the budget or candidates run out, then returns the better
     of {last item} and the picked set minus the last item.  Ties break on the
     lowest item index.  Returns the empty set if nothing is affordable.
+    `f` is an `IncrementalFunction` or a plain `SetFunction`.
 
     The picks depend on the budget only through the eligible set and where
     they stop, so they are a prefix of the one `GreedyOrder` of that set.
@@ -128,6 +187,7 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
     s <= budget*L and s > budget*L hold exactly when they hold against
     floor(budget*L), with L = `costs.scale`.
     """
+    f = incremental(f)
     units = costs.units
     cap = math.floor(Fraction(budget) * costs.scale)
     eligible = tuple(sorted(i for i in items if units[i] <= cap))
@@ -140,9 +200,13 @@ def wolsey_greedy(items: Iterable[int], f: SetFunction, costs: CostVector,
         order = orders[eligible] = GreedyOrder(eligible, f, costs)
     k = order.prefix(cap)
     last = order.picks[k - 1]
-    if f(frozenset({last})) >= order.values[k - 1]:
-        return frozenset({last})
-    return order.sets[k - 1]
+    single = order.singles[last]
+    if single >= order.values[k - 1]:
+        r, value = frozenset({last}), single
+    else:
+        r, value = order.sets[k - 1], order.values[k - 1]
+    f.known[r] = value
+    return r
 
 
 GRID_BITS = 20
@@ -184,8 +248,7 @@ def budget_candidates(items, costs: CostVector):
     return Grid(Fraction(total, 1 << GRID_BITS), (1 << GRID_BITS) + 1)
 
 
-def find_budget(items: Iterable[int], f: SetFunction,
-                costs: CostVector) -> Fraction:
+def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
     """A candidate budget at which the greedy set reaches an alpha fraction
     of f over all items, found by bisection over `budget_candidates`.
 
@@ -196,8 +259,11 @@ def find_budget(items: Iterable[int], f: SetFunction,
     runs `wolsey_greedy` at the budget `Fraction(k, costs.scale)`, and that
     `Fraction` is returned.  The probes share one dict of greedy orders, so
     probes with the same eligible set extend one order instead of redoing
-    its picks; the dict changes no probe's result.
+    its picks; the dict changes no probe's result.  `f` is an
+    `IncrementalFunction` or a plain `SetFunction`; a probe's set is valued
+    from `f.known`, where `wolsey_greedy` left its value.
     """
+    f = incremental(f)
     items = sorted(items)
     full_value = f(frozenset(items))
     if full_value <= 0:

@@ -142,6 +142,12 @@ class WeightedSample:
     plus O(log w_max) popcounts, independent of the row count m.  The index
     holds at most n·|states| item masks, floor(log2 w_max) + 1 bit planes
     and the all-rows mask, each of m bits.
+
+    The row masks are public: `all_rows` is the mask of the empty partial,
+    `mask_of(b)` that of b, `step_mask(mask, i, s)` narrows a mask by one
+    observation in one AND, and `mass(mask)` is the mask's total weight.  A
+    caller that extends b one item at a time carries b's mask along instead
+    of asking for the extension's mask afresh.
     """
 
     rows: tuple[tuple[tuple[str, ...], int], ...]
@@ -183,13 +189,18 @@ class WeightedSample:
     @property
     def total_weight(self) -> int:
         """Sum of all row weights (the sample's W)."""
-        return self._mass(self._all)
+        return self.mass(self._all)
 
     @property
     def n(self) -> int:
         return len(self.rows[0][0]) if self.rows else 0
 
-    def _mask(self, b) -> int:
+    @property
+    def all_rows(self) -> int:
+        """Row mask of every row (that of the empty partial realization)."""
+        return self._all
+
+    def mask_of(self, b) -> int:
         """Row mask of the rows extending b."""
         if self.rows and len(b) != self.n:
             raise PreconditionError("dimension mismatch")
@@ -201,26 +212,30 @@ class WeightedSample:
                     break
         return mask
 
-    def _mass(self, mask: int) -> int:
+    def step_mask(self, mask: int, i: int, s: str) -> int:
+        """The rows of `mask` with state s at item i."""
+        return mask & self._columns[i].get(s, 0)
+
+    def mass(self, mask: int) -> int:
         """Total weight of the rows in a row mask."""
         return sum((mask & plane).bit_count() << k
                    for k, plane in enumerate(self._planes))
 
     def consistent_rows(self, b):
         """Rows extending b in sample order, together with their total weight."""
-        mask = self._mask(b)
+        mask = self.mask_of(b)
         # bin() lists bit j at position -1-j; reversed, row j pairs with bit j
         bits = bin(mask)[:1:-1]
         rows = tuple(row for row, bit in zip(self.rows, bits) if bit == "1")
-        return rows, self._mass(mask)
+        return rows, self.mass(mask)
 
     def weight_of(self, b) -> int:
         """Total weight of rows extending b."""
-        return self._mass(self._mask(b))
+        return self.mass(self.mask_of(b))
 
     def count_of(self, b) -> int:
         """Number of rows extending b."""
-        return self._mask(b).bit_count()
+        return self.mask_of(b).bit_count()
 
     def scaled(self, factor: int) -> "WeightedSample":
         return WeightedSample(tuple((a, w * factor) for a, w in self.rows))

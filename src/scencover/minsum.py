@@ -51,10 +51,6 @@ def length(schedule: Schedule) -> Fraction:
     return sum((t for _, t in schedule), Fraction(0))
 
 
-def concat(left: Schedule, right: Schedule) -> Schedule:
-    return tuple(left) + tuple(right)
-
-
 def truncate(schedule: Schedule, t) -> Schedule:
     """Prefix of the schedule of total time t (identity when t >= length)."""
     t = Fraction(t)
@@ -89,15 +85,6 @@ class JobFunction:
 
     def value(self, schedule: Schedule) -> Fraction:
         return Fraction(self.base(self.completed(schedule))) / self.scale
-
-    def after(self, prefix: Schedule) -> "JobFunction":
-        """The residual job: value of (prefix followed by the schedule)."""
-        prefix = tuple(prefix)
-
-        def shifted(r: frozenset):
-            return self.base(self.completed(prefix) | r)
-
-        return JobFunction(shifted, self.costs, self.scale)
 
 
 def make_job(f: SetFunction, costs: CostVector, items=None,

@@ -14,12 +14,11 @@ to their policies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budgeted import best_ratio, find_budget
+from .budgeted import IncrementalFunction, best_ratio, find_budget
 from .core import (
     UNKNOWN,
     CostVector,
@@ -36,12 +35,7 @@ from .core import (
 )
 from .minsum import full_cost_schedule, make_job, schedule_cost
 from .oracle import optimal_tree
-from .utility import (
-    UtilityFunction,
-    marginal,
-    scenario_count_utility,
-    worst_state,
-)
+from .utility import UtilityFunction, scenario_count_utility
 
 
 def execute_online(strategy: Strategy, reveal, costs: CostVector):
@@ -76,24 +70,30 @@ def anchored(b, items, sigma: dict):
 
 
 def worst_case_realization(g: UtilityFunction, b) -> dict:
-    """Anchor state (minimum gain, alphabet order on ties) per free item."""
-    return {i: worst_state(g, b, i) for i in free_items(b)}
+    """Anchor state (minimum gain, alphabet order on ties) per free item,
+    each gain one `step` from b's state."""
+    state = g.state_of(b)
+    step, level = g.step, g.level
+    return {i: min(g.alphabet.states, key=lambda s: level(step(state, i, s)))
+            for i in free_items(b)}
 
 
-def weight_removal_function(instance: ScenarioInstance, b, sigma: dict):
+def weight_removal_function(instance: ScenarioInstance, b,
+                            sigma: dict) -> IncrementalFunction:
     """Stage-1 objective: weight of consistent rows that deviate from the
     anchor realization on at least one item of the argument set.
 
     Those are the rows consistent with b less the rows consistent with b
-    anchored on the whole set, so h(r) = W_b - W(b with sigma on r).
+    anchored on the whole set, so h(r) = W_b - W(b with sigma on r).  Read
+    incrementally, the state is the row mask of b anchored on the set: the
+    root is b's mask, adding item i keeps the rows with sigma[i] at i.
     """
     sample = instance.sample
-    wb = sample.weight_of(b)
-
-    def h(r: frozenset) -> int:
-        return wb - sample.weight_of(anchored(b, r, sigma))
-
-    return h
+    mask = sample.mask_of(b)
+    wb = sample.mass(mask)
+    step_mask, mass = sample.step_mask, sample.mass
+    return IncrementalFunction(mask, lambda m, i: step_mask(m, i, sigma[i]),
+                               lambda m: wb - mass(m))
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,13 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
             "no free items at %r but utility %d < goal %d" % (b, gb, g.goal)
         )
     sigma = worst_case_realization(g, b)
+    step, level = g.step, g.level
+    # the utility gained by anchoring a set, read from b's state
+    anchored_gain = IncrementalFunction(
+        g.state_of(b), lambda st, i: step(st, i, sigma[i]),
+        lambda st: level(st) - gb)
 
-    def anchored_gain(u: frozenset) -> int:
-        return g.value(anchored(b, u, sigma)) - gb
-
-    budget = find_budget(frees, functools.cache(anchored_gain), costs)
+    budget = find_budget(frees, anchored_gain, costs)
     # the budget in integer cost units: for an int s, s <= budget*L iff
     # s <= floor(budget*L), and s >= budget*L iff s >= ceil(budget*L); grid
     # budgets (above 20 items) need not be whole units
@@ -147,44 +149,53 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     spends = math.ceil(budget * costs.scale)
     eligible = sorted(i for i in frees if units[i] <= fits)
 
-    cur = b  # b anchored on every item picked so far
-    chosen: frozenset = frozenset()  # those items, the stage-1 argument
+    state = anchored_gain.root()  # g's state of b anchored on every pick
 
-    def stage(gain):
-        """Anchor the best-ratio eligible item until the budget is spent, the
-        goal is met, or no eligible item is left (tested in that order)."""
-        nonlocal cur, chosen
+    def stage(f, fstate):
+        """Anchor the best-ratio eligible item by f's gain until the budget
+        is spent, the goal is met, or no eligible item is left (tested in
+        that order).  `fstate` is f's state of the items anchored so far."""
+        nonlocal state
         picked: list[int] = []
         spent = 0  # in cost units
+        base = f.value(fstate)
         while True:
+            reached = {}  # item -> (state, value) of f with it anchored
+
+            def gain(i):
+                after = f.add(fstate, i)
+                v = f.value(after)
+                reached[i] = after, v
+                return v - base
+
             best = best_ratio(eligible, gain, costs)
             picked.append(best)
             eligible.remove(best)
-            chosen = chosen | {best}
             spent += units[best]
-            cur = extend(cur, best, sigma[best])
+            fstate, base = reached[best]
+            state = step(state, best, sigma[best])
             if spent >= spends:
                 return tuple(picked), "budget"
-            if g.value(cur) == g.goal:
+            if level(state) == g.goal:
                 return tuple(picked), "goal"
             if not eligible:
                 return tuple(picked), "exhausted"
 
-    rows_b, wb = instance.sample.consistent_rows(b)
+    _, wb = instance.sample.consistent_rows(b)
     if wb == 0:
         # no consistent mass: removing weight is pointless, go straight to
         # the utility stage
         stage1, stage1_exit = (), "skipped"
     else:
-        h = functools.cache(weight_removal_function(instance, b, sigma))
-        stage1, stage1_exit = stage(lambda i: h(chosen | {i}) - h(chosen))
+        h = weight_removal_function(instance, b, sigma)
+        stage1, stage1_exit = stage(h, h.root())
 
     if stage1_exit == "goal":
         stage2, stage2_exit = (), "skipped"
     elif not eligible:
         stage2, stage2_exit = (), "empty"
     else:
-        stage2, stage2_exit = stage(lambda i: marginal(g, cur, i, sigma[i]))
+        stage2, stage2_exit = stage(anchored_gain, state)
 
     return InvocationTrace(
         entry=b,
@@ -194,9 +205,9 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         stage2_items=stage2,
         stage1_exit=stage1_exit,
         stage2_exit=stage2_exit,
-        final=cur,
+        final=anchored(b, stage1 + stage2, sigma),
         entry_value=gb,
-        final_value=g.value(cur),
+        final_value=level(state),
     )
 
 
@@ -347,7 +358,10 @@ def backbone_audit(instance: ScenarioInstance, b=None) -> BackboneAudit:
         b = empty_partial(instance.n)
     trace = invocation_plan(instance, b)
     costs = instance.costs
-    wb = instance.sample.weight_of(b)
+    # the job reads the removed mass as a share of W_b: h(r)/W_b
+    h = weight_removal_function(instance, b, trace.sigma)
+    mask = h.root()
+    wb = instance.sample.mass(mask)
 
     if wb == 0:
         probs = tuple(Fraction(0) for _ in trace.plan)
@@ -356,17 +370,14 @@ def backbone_audit(instance: ScenarioInstance, b=None) -> BackboneAudit:
         )
 
     probs = []
-    cur = b
     c_y = Fraction(0)
     for i in trace.plan:
-        p = Fraction(instance.sample.weight_of(cur), wb)
+        p = Fraction(instance.sample.mass(mask), wb)
         probs.append(p)
         c_y += p * costs[i]
-        cur = extend(cur, i, trace.sigma[i])
+        mask = h.add(mask, i)
 
-    # the job reads the removed mass as a share of W_b: h(r)/W_b
-    h = weight_removal_function(instance, b, trace.sigma)
-    job = make_job(functools.cache(h), costs, scale=wb)
+    job = make_job(h, costs, scale=wb)
     stage1_sched = full_cost_schedule(trace.stage1_items, costs)
     backbone_sched = full_cost_schedule(trace.plan, costs)
     stage1_cost = schedule_cost(job, stage1_sched)

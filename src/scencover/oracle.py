@@ -73,19 +73,22 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
     g = instance.utility
     goal = g.goal
     value = g.value
-    weight_of = instance.sample.weight_of
+    sample = instance.sample
+    step_mask, mass = sample.step_mask, sample.mass
     units = instance.costs.units
     states = instance.alphabet.states
     memo: dict = {}
 
-    def solve(b, wb):
-        """(U(b), the item the policy queries at b or None); wb is W(b)."""
+    def solve(b, mask):
+        """(U(b), the item the policy queries at b or None); mask is b's
+        row mask, each child's one `step_mask` of it."""
         entry = memo.get(b)
         if entry is not None:
             return entry
-        if not wb or value(b) == goal:
+        if not mask or value(b) == goal:
             entry = memo[b] = (0, None)
             return entry
+        wb = mass(mask)
         best = best_item = None
         for i in free_items(b):
             total = units[i] * wb
@@ -93,10 +96,9 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
                 continue
             head, tail = b[:i], b[i + 1:]
             for s in states:
-                child = head + (s,) + tail
-                wc = weight_of(child)
-                if wc:
-                    total += solve(child, wc)[0]
+                child_mask = step_mask(mask, i, s)
+                if child_mask:
+                    total += solve(head + (s,) + tail, child_mask)[0]
                     if best is not None and total >= best:
                         break
             else:
@@ -108,10 +110,10 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
 
     class OptimalStrategy(Strategy):
         def next_item(self, b):
-            return (memo.get(b) or solve(b, weight_of(b)))[1]
+            return (memo.get(b) or solve(b, sample.mask_of(b)))[1]
 
-    total_weight = instance.sample.total_weight
-    optimum, _ = solve(empty_partial(instance.n), total_weight)
+    total_weight = sample.total_weight
+    optimum, _ = solve(empty_partial(instance.n), sample.all_rows)
     tree = materialize(SuffixedStrategy(OptimalStrategy(), g),
                        instance.alphabet, instance.n)
     return tree, Fraction(optimum, total_weight * instance.costs.scale)

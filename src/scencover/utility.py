@@ -5,6 +5,16 @@ expected (for a solvable instance) to reach its goal value on every full
 realization.  Concrete families are closed-form; only `TableUtility` stores a
 raw table (used to build counterexamples).  Evaluations are memoized per
 instance, keyed by the partial realization.
+
+Every utility also has states, for callers that extend a partial
+realization one item at a time: `root()` is the state of the empty partial,
+`step(state, i, s)` that of the partial with item i observed in state s
+added, `level(state)` its utility and `state_of(b)` the state of b, so
+folding `step` over b's observations in any order reaches `state_of(b)`,
+and `level(state_of(b)) == value(b)`.  Coverage, k-of-n, count and weight
+elimination and OR carry a small native state (a bitmask, two counts, a row
+mask, a pair); the default state, kept by `TableUtility` and the induced
+utility, is b itself, read through `value`.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from .core import (
     PreconditionError,
     StateAlphabet,
     WeightedSample,
+    empty_partial,
     enumerate_partials,
     enumerate_realizations,
     extend,
@@ -25,7 +36,9 @@ from .core import (
 
 
 class UtilityFunction:
-    """Base class: subclasses implement `_evaluate(b) -> int`."""
+    """Base class: subclasses implement `_evaluate(b) -> int`, and may
+    replace the default state (b itself) by overriding `root`, `step`,
+    `level` and `state_of` together."""
 
     def __init__(self, n: int, goal: int, alphabet: StateAlphabet):
         self.n = n
@@ -42,6 +55,22 @@ class UtilityFunction:
 
     def _evaluate(self, b) -> int:
         raise NotImplementedError
+
+    def root(self):
+        """State of the empty partial realization."""
+        return empty_partial(self.n)
+
+    def step(self, state, i: int, s: str):
+        """State after observing item i (free in the state) in state s."""
+        return extend(state, i, s)
+
+    def level(self, state) -> int:
+        """Utility of a state."""
+        return self.value(state)
+
+    def state_of(self, b):
+        """State of the partial realization b."""
+        return b
 
     def verify_goal_on_full(self) -> bool:
         """Check value(a) == goal on every full realization; refused (by
@@ -73,6 +102,7 @@ class OrUtility(UtilityFunction):
     monotonicity and submodularity.  For the combined function to reach its
     goal on all full realizations, at least one constituent must reach its
     goal on each of them (caller's responsibility; checkable by enumeration).
+    The state is the pair of the operands' states.
     """
 
     def __init__(self, g1: UtilityFunction, g2: UtilityFunction):
@@ -81,36 +111,65 @@ class OrUtility(UtilityFunction):
         super().__init__(g1.n, g1.goal * g2.goal, g1.alphabet)
         self.left = g1
         self.right = g2
+        self._step1, self._step2 = g1.step, g2.step
+        self._level1, self._level2 = g1.level, g2.level
 
     def _evaluate(self, b):
         q1, q2 = self.left.goal, self.right.goal
         return q1 * q2 - (q1 - self.left.value(b)) * (q2 - self.right.value(b))
 
+    def root(self):
+        return self.left.root(), self.right.root()
 
-class CountEliminationUtility(UtilityFunction):
+    def step(self, state, i, s):
+        return self._step1(state[0], i, s), self._step2(state[1], i, s)
+
+    def level(self, state):
+        return self.goal - ((self.left.goal - self._level1(state[0]))
+                            * (self.right.goal - self._level2(state[1])))
+
+    def state_of(self, b):
+        return self.left.state_of(b), self.right.state_of(b)
+
+
+class EliminationUtility(UtilityFunction):
+    """Measure of the sample rows ruled out by the observed states: the goal
+    is the measure of every row, and the state is the row mask of the rows
+    still consistent (`WeightedSample.mask_of`)."""
+
+    def __init__(self, sample: WeightedSample, n: int, alphabet: StateAlphabet,
+                 measure):
+        if not sample.rows:
+            raise PreconditionError("sample must be nonempty")
+        super().__init__(n, measure(sample.all_rows), alphabet)
+        self.sample = sample
+        self.measure = measure
+        # the row-mask API is the state API: bound once, called directly
+        self.step = sample.step_mask
+        self.state_of = sample.mask_of
+
+    def _evaluate(self, b):
+        return self.goal - self.measure(self.sample.mask_of(b))
+
+    def root(self):
+        return self.sample.all_rows
+
+    def level(self, mask):
+        return self.goal - self.measure(mask)
+
+
+class CountEliminationUtility(EliminationUtility):
     """Number of sample rows ruled out by the observed states; goal m."""
 
     def __init__(self, sample: WeightedSample, n: int, alphabet: StateAlphabet):
-        if not sample.rows:
-            raise PreconditionError("sample must be nonempty")
-        super().__init__(n, sample.size, alphabet)
-        self.sample = sample
-
-    def _evaluate(self, b):
-        return self.sample.size - self.sample.count_of(b)
+        super().__init__(sample, n, alphabet, int.bit_count)
 
 
-class WeightEliminationUtility(UtilityFunction):
+class WeightEliminationUtility(EliminationUtility):
     """Total weight of sample rows ruled out by the observed states; goal W."""
 
     def __init__(self, sample: WeightedSample, n: int, alphabet: StateAlphabet):
-        if not sample.rows:
-            raise PreconditionError("sample must be nonempty")
-        super().__init__(n, sample.total_weight, alphabet)
-        self.sample = sample
-
-    def _evaluate(self, b):
-        return self.sample.total_weight - self.sample.weight_of(b)
+        super().__init__(sample, n, alphabet, sample.mass)
 
 
 def scenario_count_utility(g: UtilityFunction, sample: WeightedSample) -> OrUtility:
@@ -131,7 +190,7 @@ class KOfNUtility(UtilityFunction):
 
     Over the binary alphabet, the goal k*(n-k+1) is reached exactly when b
     has at least k ones or at least n-k+1 zeros, i.e. when the function's
-    value is determined.
+    value is determined.  The state is the pair (ones, zeros).
     """
 
     def __init__(self, n: int, k: int):
@@ -141,10 +200,21 @@ class KOfNUtility(UtilityFunction):
         self.k = k
 
     def _evaluate(self, b):
-        k, n = self.k, self.n
-        ones = min(k, sum(1 for s in b if s == "1"))
-        zeros = min(n - k + 1, sum(1 for s in b if s == "0"))
-        return k * (n - k + 1) - (n - k + 1 - zeros) * (k - ones)
+        return self.level(self.state_of(b))
+
+    def root(self):
+        return 0, 0
+
+    def step(self, state, i, s):
+        ones, zeros = state
+        return (ones + 1, zeros) if s == "1" else (ones, zeros + 1)
+
+    def level(self, state):
+        k, z = self.k, self.n - self.k + 1
+        return k * z - (z - min(z, state[1])) * (k - min(k, state[0]))
+
+    def state_of(self, b):
+        return b.count("1"), b.count("0")
 
 
 class CoverageUtility(UtilityFunction):
@@ -153,35 +223,54 @@ class CoverageUtility(UtilityFunction):
     `covers[(i, state)]` is the subset of the universe contributed when item
     i is observed in `state`.  Goal = universe size.  Construction checks
     that every element has an anchor item covering it in all states, which
-    is equivalent to reaching the goal on every full realization.
+    is equivalent to reaching the goal on every full realization.  The
+    state is the int bitmask of the covered elements, and a cover is kept
+    as its bitmask: `masks[i][state]`.
     """
 
     def __init__(self, covers: dict, universe_size: int, n: int,
                  alphabet: StateAlphabet):
         super().__init__(n, universe_size, alphabet)
-        self.universe = frozenset(range(universe_size))
-        self.covers = {
-            (i, s): frozenset(covers.get((i, s), ()))
-            for i in range(n)
-            for s in alphabet
-        }
-        for key, elems in self.covers.items():
-            if not elems <= self.universe:
-                raise PreconditionError("cover %r leaves the universe" % (key,))
-        for u in self.universe:
-            if not any(
-                all(u in self.covers[(i, s)] for s in alphabet) for i in range(n)
-            ):
-                raise PreconditionError(
-                    "element %d is uncovered under some realization" % u
-                )
+        universe = (1 << universe_size) - 1
+        self.masks = tuple({} for _ in range(n))
+        anchored = 0  # elements some item covers in every state
+        for i, per_state in enumerate(self.masks):
+            common = universe
+            for s in alphabet:
+                mask = 0
+                for u in covers.get((i, s), ()):
+                    if u not in range(universe_size):
+                        raise PreconditionError("cover %r leaves the universe"
+                                                % ((i, s),))
+                    mask |= 1 << u
+                per_state[s] = mask
+                common &= mask
+            anchored |= common
+        uncovered = universe & ~anchored
+        if uncovered:
+            raise PreconditionError(
+                "element %d is uncovered under some realization"
+                % ((uncovered & -uncovered).bit_length() - 1)
+            )
 
     def _evaluate(self, b):
-        covered = set()
-        for i, s in enumerate(b):
+        return self.state_of(b).bit_count()
+
+    def root(self):
+        return 0
+
+    def step(self, state, i, s):
+        return state | self.masks[i][s]
+
+    def level(self, state):
+        return state.bit_count()
+
+    def state_of(self, b):
+        covered = 0
+        for per_state, s in zip(self.masks, b):
             if s != UNKNOWN:
-                covered |= self.covers[(i, s)]
-        return len(covered)
+                covered |= per_state[s]
+        return covered
 
 
 class TableUtility(UtilityFunction):

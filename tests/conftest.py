@@ -27,6 +27,7 @@ from scencover.core import (
     set_items,
 )
 from scencover.generate import random_instance, random_set_function
+from scencover.minsum import JobFunction
 from scencover.mixedgreedy import (
     InvocationTrace,
     combined_count_instance,
@@ -227,6 +228,18 @@ def is_extension(b2, b1):
     if len(b2) != len(b1):
         raise PreconditionError("length mismatch: %d vs %d" % (len(b2), len(b1)))
     return all(s1 == UNKNOWN or s1 == s2 for s1, s2 in zip(b1, b2))
+
+
+def concat(left, right):
+    """The schedule `left` followed by `right`."""
+    return tuple(left) + tuple(right)
+
+
+def job_after(job, prefix):
+    """The residual job of a `JobFunction`: its value on (prefix followed
+    by the schedule)."""
+    done = job.completed(tuple(prefix))
+    return JobFunction(lambda r: job.base(done | r), job.costs, job.scale)
 
 
 def check_wolsey_bound(items, f, costs, budget):

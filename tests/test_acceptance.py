@@ -23,7 +23,6 @@ from scencover.core import (
 from scencover.generate import random_set_function
 from scencover.minsum import (
     check_truncated_bounds,
-    concat,
     full_cost_schedule,
     length,
     make_job,
@@ -53,8 +52,10 @@ from scencover.utility import (
     scenario_weight_utility,
 )
 from conftest import (
+    concat,
     instance_stream,
     is_extension,
+    job_after,
     reference_mixed_greedy,
     seeded_budgeted,
 )
@@ -286,7 +287,7 @@ def test_criterion_10_cross_checks():
         cut = rng.randint(0, n)
         prefix = full_cost_schedule(perm[:cut], costs)
         suffix = full_cost_schedule(perm[cut:], costs)
-        lhs = schedule_cost(job, prefix) + schedule_cost(job.after(prefix), suffix)
+        lhs = schedule_cost(job, prefix) + schedule_cost(job_after(job, prefix), suffix)
         if lhs != schedule_cost(job, concat(prefix, suffix)):
             violations.append((seed, "additivity"))
 

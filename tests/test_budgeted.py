@@ -13,6 +13,8 @@ from scencover import budgeted
 from scencover.budgeted import (
     ALPHA,
     CHI_TOLERANCE,
+    GreedyOrder,
+    IncrementalFunction,
     PreconditionError,
     best_ratio,
     budget_candidates,
@@ -216,6 +218,43 @@ def test_shared_greedy_orders_match_fraction_reference(problem, data):
     for b in budgets:
         assert (wolsey_greedy(items, f, costs, b, orders)
                 == reference_wolsey_greedy(items, f, costs, b))
+
+
+def native_coverage(f: BitmaskCoverage) -> IncrementalFunction:
+    """The weighted coverage f read natively: the state is the union of
+    the picked items' element masks."""
+    weights = f.weights
+    return IncrementalFunction(
+        0, lambda union, i: union | f.masks[i],
+        lambda union: sum(w for u, w in enumerate(weights) if union >> u & 1))
+
+
+@given(budget_problems(min_items=1), st.data())
+def test_native_and_adapted_functions_agree(problem, data):
+    # the greedy layer reads a native incremental function and the plain
+    # frozenset form of the same function alike: same picks, values,
+    # returned sets and budget
+    costs, f = problem
+    native = native_coverage(f)
+    items = list(range(len(costs)))
+    assert native(frozenset(items)) == f(frozenset(items))
+    assert find_budget(items, native, costs) == find_budget(items, f, costs)
+    orders = GreedyOrder(items, native, costs), GreedyOrder(items, f, costs)
+    for order in orders:
+        order.prefix(sum(costs.units))
+    assert orders[0].picks == orders[1].picks
+    assert sorted(orders[0].picks) == items
+    assert orders[0].sets == orders[1].sets
+    assert orders[0].values == orders[1].values
+    assert orders[0].spent == orders[1].spent
+    budgets = data.draw(st.lists(
+        st.fractions(0, math.ceil(costs.total()) + 1, max_denominator=24),
+        min_size=1, max_size=6))
+    shared: dict = {}
+    for budget in budgets:
+        got = wolsey_greedy(items, native, costs, budget, shared)
+        assert got == wolsey_greedy(items, f, costs, budget)
+        assert native(got) == f(got)
 
 
 @pytest.mark.parametrize("seed", [5, 9, 12])

@@ -144,7 +144,14 @@ def test_row_index_matches_row_scan(drawn):
     assert sample.weight_of(b) == weight
     assert sample.count_of(b) == len(rows)
     assert sample.total_weight == sum(w for _, w in sample.rows)
+    assert sample.mass(sample.mask_of(b)) == weight
     if sample.rows:
+        # b's mask is the all-rows mask narrowed once per observed item
+        mask = sample.all_rows
+        for i, s in enumerate(b):
+            if s != U:
+                mask = sample.step_mask(mask, i, s)
+        assert mask == sample.mask_of(b)
         for query in (sample.consistent_rows, sample.weight_of, sample.count_of):
             with pytest.raises(PreconditionError):
                 query(b + (U,))

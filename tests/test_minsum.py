@@ -18,7 +18,6 @@ from scencover.generate import random_set_function
 from scencover.minsum import (
     budget_cut_index,
     check_truncated_bounds,
-    concat,
     full_cost_schedule,
     greedy_prefix,
     length,
@@ -32,6 +31,7 @@ from scencover.mixedgreedy import weight_removal_function
 from scencover.oracle import optimal_schedule
 from scencover.utility import BINARY, KOfNUtility
 from scencover.core import ScenarioInstance
+from conftest import concat, job_after
 
 
 def additive(values):
@@ -191,7 +191,7 @@ def test_cost_additivity_identity():
         cut = rng.randint(0, n)
         prefix = full_cost_schedule(perm[:cut], costs)
         suffix = full_cost_schedule(perm[cut:], costs)
-        lhs = schedule_cost(job, prefix) + schedule_cost(job.after(prefix), suffix)
+        lhs = schedule_cost(job, prefix) + schedule_cost(job_after(job, prefix), suffix)
         assert lhs == schedule_cost(job, concat(prefix, suffix))
 
 

@@ -27,6 +27,12 @@ from scencover.core import (
     validate_tree,
 )
 from scencover.adaptivegreedy import scenario_adaptive_greedy
+from scencover.budgeted import (
+    GreedyOrder,
+    budget_candidates,
+    find_budget,
+    wolsey_greedy,
+)
 from scencover.mixedgreedy import (
     MixedGreedyStrategy,
     anchored,
@@ -128,6 +134,35 @@ def test_weight_removal_function_matches_row_definition():
                     expected = sum(w for a, w in rows
                                    if any(a[i] != sigma[i] for i in r))
                     assert h(frozenset(r)) == expected, (seed, b, r)
+
+
+def test_weight_removal_greedy_matches_frozenset_form():
+    # the incremental h (row masks) and its frozenset definition give the
+    # greedy layer the same picks, values, returned sets and budget
+    for seed, inst, _ in instance_stream(40, base_seed=8200):
+        b = empty_partial(inst.n)
+        if inst.utility.value(b) >= inst.goal:
+            continue
+        sigma = worst_case_realization(inst.utility, b)
+        h = weight_removal_function(inst, b, sigma)
+        wb = inst.sample.weight_of(b)
+
+        def plain(r, b=b, sigma=sigma, wb=wb, sample=inst.sample):
+            return wb - sample.weight_of(anchored(b, r, sigma))
+
+        items, costs = free_items(b), inst.costs
+        orders = GreedyOrder(items, h, costs), GreedyOrder(items, plain, costs)
+        for order in orders:
+            order.prefix(sum(costs.units))
+        assert orders[0].picks == orders[1].picks, seed
+        assert orders[0].values == orders[1].values, seed
+        if plain(frozenset(items)) > 0:
+            assert (find_budget(items, h, costs)
+                    == find_budget(items, plain, costs)), seed
+        for k in budget_candidates(items, costs):
+            budget = Fraction(k, costs.scale)
+            assert (wolsey_greedy(items, h, costs, budget)
+                    == wolsey_greedy(items, plain, costs, budget)), seed
 
 
 def test_mixed_greedy_goal_at_entry():

@@ -127,6 +127,21 @@ def test_optimal_tree_matches_reference_recursion():
     assert {inst.n for inst, _, _ in cases} >= {7, 8}
 
 
+def test_optimal_tree_matches_reference_at_nine_items():
+    # each child's row mask is one `step_mask` of its parent's; at n=9 and
+    # m=24 the passed masks must give the reference's trees and costs
+    rng = random.Random(9024)
+    limits = OracleLimits(max_items=9, max_states=2, max_rows=24)
+    for k in range(2 * len(FAMILIES)):
+        inst, _ = random_instance(
+            rng, n=9, num_states=2, sample_size=24,
+            family=FAMILIES[k % len(FAMILIES)], universe_size=rng.randint(3, 6))
+        tree, cost = optimal_tree(inst, limits)
+        ref_tree, ref_cost = reference_optimal_tree(inst)
+        assert tree == ref_tree
+        assert cost == ref_cost
+
+
 def test_optimal_tree_budget_refusal():
     inst = all_items_instance(7)
     with pytest.raises(OracleBudgetError):

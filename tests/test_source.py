@@ -77,3 +77,25 @@ def test_layering():
     assert imports["core"] == set()
     assert {name for name, found in imports.items()
             if "mixedgreedy" in found} == {"cli", "__init__"}
+
+
+#: `WeightedSample`'s private row index; the public row-mask API
+#: (`all_rows`, `mask_of`, `step_mask`, `mass`) is the one way in.
+SAMPLE_PRIVATE = {"_mask", "_mass", "_columns", "_planes", "_all"}
+
+
+def private_sample_reads(source: str) -> set[str]:
+    """Attributes of the sample's private index a module reads or writes."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in SAMPLE_PRIVATE}
+
+
+def test_private_sample_reads_detected():
+    source = "def f(sample):\n    return sample._columns[0], sample.mask_of(())\n"
+    assert private_sample_reads(source) == {"_columns"}
+
+
+def test_only_core_reads_the_sample_index():
+    reads = {p.stem: private_sample_reads(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py")}
+    assert {name for name, found in reads.items() if found} == {"core"}

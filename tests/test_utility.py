@@ -6,17 +6,25 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scencover.core import (
     UNKNOWN,
     PreconditionError,
     StateAlphabet,
     WeightedSample,
+    empty_partial,
     enumerate_partials,
     extend,
     free_items,
+    set_items,
 )
-from scencover.generate import random_coverage_utility, random_sample
+from scencover.generate import (
+    default_alphabet,
+    random_coverage_utility,
+    random_sample,
+)
+from scencover.mixedgreedy import InducedUtility
 from scencover.utility import (
     BINARY,
     CountEliminationUtility,
@@ -361,3 +369,59 @@ def test_goal_verification():
     assert KOfNUtility(3, 2).verify_goal_on_full()
     table = {b: 0 for b in itertools.product(("0", "1", U), repeat=2)}
     assert not TableUtility(table, 1, 2, BINARY).verify_goal_on_full()
+
+
+STATE_FAMILIES = ("coverage", "k_of_n", "table", "induced", "or", "g_S", "g_W",
+                  "nested")
+
+
+def family_utility(family, rng, n, alphabet):
+    """One utility of the family over n items; "nested" puts default-state
+    utilities (table, induced) inside native ORs and eliminations."""
+
+    def coverage(items=n):
+        return random_coverage_utility(rng, items, alphabet,
+                                       rng.randint(1, 5))[0]
+
+    def induced():
+        fixed = list(empty_partial(n + 2))
+        for i in rng.sample(range(n + 2), 2):
+            fixed[i] = rng.choice(alphabet.states)
+        return InducedUtility(coverage(n + 2), tuple(fixed))
+
+    sample = random_sample(rng, alphabet, n, rng.randint(1, 8))
+    if family == "coverage":
+        return coverage()
+    if family == "k_of_n":
+        return KOfNUtility(n, rng.randint(1, n))
+    if family == "table":
+        return random_table(rng, n, alphabet, rng.randint(1, 6))
+    if family == "induced":
+        return induced()
+    if family == "or":
+        return OrUtility(coverage(), coverage())
+    if family == "g_S":
+        return scenario_count_utility(coverage(), sample)
+    if family == "g_W":
+        return scenario_weight_utility(coverage(), sample)
+    table = random_table(rng, n, alphabet, rng.randint(1, 6))
+    return OrUtility(
+        scenario_weight_utility(OrUtility(coverage(), table), sample),
+        scenario_count_utility(induced(), sample))
+
+
+@given(st.sampled_from(STATE_FAMILIES), st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32), st.data())
+def test_step_fold_matches_value(family, states, n, seed, data):
+    # folding `step` over b's observations, in any order, reaches
+    # state_of(b), whose level is value(b)
+    alphabet = BINARY if family == "k_of_n" else default_alphabet(states)
+    g = family_utility(family, random.Random(seed), n, alphabet)
+    b = data.draw(st.tuples(*[st.sampled_from(alphabet.states + (U,))] * n))
+    order = data.draw(st.permutations(set_items(b)))
+    state = g.root()
+    assert state == g.state_of(empty_partial(n))
+    for i in order:
+        state = g.step(state, i, b[i])
+    assert state == g.state_of(b)
+    assert g.level(state) == g.value(b)
