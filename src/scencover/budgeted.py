@@ -120,13 +120,13 @@ def best_ratio(items: Iterable[int], gain: Callable[[int], "int | Fraction"],
 class GreedyOrder:
     """Wolsey's greedy picks over one eligible set, made when first needed.
 
-    Each pick is the best-ratio item (`best_ratio`) among the items not yet
-    picked, by gain f(picked + {i}) - f(picked), read from the picked set's
-    state with one `add` per item.  The picks depend only on the eligible
-    set, `f` and `costs`, never on the budget, so the picks at any budget
-    are a prefix of this one order.  `sets[k]` is the set of the first k
-    picks, `values[k]` its f value and `spent[k]` its cost units, and
-    `singles[i]` is the value of {i}, read off the first round's gains.
+    Every greedy loop of the package picks through `pick`: the best-ratio
+    item (`best_ratio`) among the items not yet picked, by gain
+    f(picked + {i}) - f(picked), read from the picked set's state with one
+    `add` per item.  The picks depend only on the eligible set, `f` and
+    `costs`, never on the budget, so the picks at any budget are a prefix
+    of this one order.  `values[k]` is the f value of the first k picks
+    and `spent[k]` their cost units.
     """
 
     def __init__(self, eligible, f, costs: CostVector):
@@ -134,36 +134,35 @@ class GreedyOrder:
         self.remaining = list(eligible)
         self.picks: list[int] = []
         self.state = self.f.root()
-        self.sets = [frozenset()]
         self.values = [self.f.value(self.state)]
         self.spent = [0]
-        self.singles: dict = {}
+
+    def pick(self) -> int:
+        """Make the next pick and return it; some item must be left."""
+        add, value = self.f.add, self.f.value
+        state, base = self.state, self.values[-1]
+        reached = {}  # item -> (state, value) of the picked set plus it
+
+        def gain(i):
+            after = add(state, i)
+            v = value(after)
+            reached[i] = after, v
+            return v - base
+
+        best = best_ratio(self.remaining, gain, self.costs)
+        self.remaining.remove(best)
+        self.picks.append(best)
+        self.state, v = reached[best]
+        self.values.append(v)
+        self.spent.append(self.spent[-1] + self.costs.units[best])
+        return best
 
     def prefix(self, cap: int) -> int:
         """The number of picks the greedy makes at `cap` units: it picks
         until the spent units exceed `cap` or no item is left."""
-        add, value = self.f.add, self.f.value
-        units = self.costs.units
-        spent, remaining = self.spent, self.remaining
-        while spent[-1] <= cap and remaining:
-            state, base = self.state, self.values[-1]
-            reached = {}  # item -> (state, value) of the picked set plus it
-
-            def gain(i):
-                after = add(state, i)
-                v = value(after)
-                reached[i] = after, v
-                return v - base
-
-            best = best_ratio(remaining, gain, self.costs)
-            if not self.picks:
-                self.singles = {i: v for i, (_, v) in reached.items()}
-            remaining.remove(best)
-            self.picks.append(best)
-            self.state, v = reached[best]
-            self.sets.append(self.sets[-1] | {best})
-            self.values.append(v)
-            spent.append(spent[-1] + units[best])
+        spent = self.spent
+        while spent[-1] <= cap and self.remaining:
+            self.pick()
         return min(bisect.bisect_right(spent, cap), len(self.picks))
 
 
@@ -200,11 +199,11 @@ def wolsey_greedy(items: Iterable[int], f, costs: CostVector,
         order = orders[eligible] = GreedyOrder(eligible, f, costs)
     k = order.prefix(cap)
     last = order.picks[k - 1]
-    single = order.singles[last]
+    single = f.value(f.add(f.root(), last))
     if single >= order.values[k - 1]:
         r, value = frozenset({last}), single
     else:
-        r, value = order.sets[k - 1], order.values[k - 1]
+        r, value = frozenset(order.picks[:k - 1]), order.values[k - 1]
     f.known[r] = value
     return r
 

@@ -233,10 +233,6 @@ class WeightedSample:
         """Total weight of rows extending b."""
         return self.mass(self.mask_of(b))
 
-    def count_of(self, b) -> int:
-        """Number of rows extending b."""
-        return self.mask_of(b).bit_count()
-
     def scaled(self, factor: int) -> "WeightedSample":
         return WeightedSample(tuple((a, w * factor) for a, w in self.rows))
 

@@ -31,17 +31,23 @@ COST_POOL = (
     Fraction(5, 2),
 )
 
+#: Largest sample row weight; row weights are drawn from 1..MAX_WEIGHT.
+MAX_WEIGHT = 5
+
+#: Chance that an item's state covers a universe element beyond the anchors.
+EXTRA_DENSITY = 0.3
+
 
 def default_alphabet(num_states: int) -> StateAlphabet:
     return StateAlphabet(tuple(str(k) for k in range(num_states)))
 
 
-def random_costs(rng: random.Random, n: int, pool=COST_POOL) -> CostVector:
-    return CostVector(tuple(rng.choice(pool) for _ in range(n)))
+def random_costs(rng: random.Random, n: int) -> CostVector:
+    return CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
 
 
 def random_sample(rng: random.Random, alphabet: StateAlphabet, n: int,
-                  size: int, max_weight: int = 5) -> WeightedSample:
+                  size: int) -> WeightedSample:
     space = len(alphabet) ** n
     if size < 1:
         raise PreconditionError("sample size must be at least 1")
@@ -50,12 +56,12 @@ def random_sample(rng: random.Random, alphabet: StateAlphabet, n: int,
     while len(rows) < size:
         rows.add(tuple(rng.choice(alphabet.states) for _ in range(n)))
     return WeightedSample(
-        tuple((a, rng.randint(1, max_weight)) for a in sorted(rows))
+        tuple((a, rng.randint(1, MAX_WEIGHT)) for a in sorted(rows))
     )
 
 
 def random_coverage_utility(rng: random.Random, n: int, alphabet: StateAlphabet,
-                            universe_size: int = 4, extra_density: float = 0.3):
+                            universe_size: int = 4):
     """Coverage utility valid on every realization: each universe element
     gets an anchor item covering it in all states, plus random extra covers.
 
@@ -70,7 +76,7 @@ def random_coverage_utility(rng: random.Random, n: int, alphabet: StateAlphabet,
     for i in range(n):
         for s in alphabet:
             for u in range(universe_size):
-                if rng.random() < extra_density:
+                if rng.random() < EXTRA_DENSITY:
                     covers[(i, s)].add(u)
     utility = CoverageUtility(covers, universe_size, n, alphabet)
     descriptor = {
@@ -86,7 +92,7 @@ def random_coverage_utility(rng: random.Random, n: int, alphabet: StateAlphabet,
 
 def random_instance(rng: random.Random, n: int = 4, num_states: int = 2,
                     sample_size: int = 4, family: str = "coverage",
-                    universe_size: int = 4, cost_pool=COST_POOL):
+                    universe_size: int = 4):
     """A full random instance of the requested utility family.
 
     Returns (instance, descriptor).  Families "g_S" and "g_W" wrap a random
@@ -95,7 +101,7 @@ def random_instance(rng: random.Random, n: int = 4, num_states: int = 2,
     """
     alphabet = default_alphabet(num_states)
     sample = random_sample(rng, alphabet, n, sample_size)
-    costs = random_costs(rng, n, cost_pool)
+    costs = random_costs(rng, n)
 
     if family == "coverage":
         utility, descriptor = random_coverage_utility(

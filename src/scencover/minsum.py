@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CostVector, OracleBudgetError, PreconditionError
-from .budgeted import SetFunction, best_ratio
+from .budgeted import GreedyOrder, SetFunction
 
 Schedule = tuple  # of (item, Fraction time) pairs
 
@@ -115,7 +115,8 @@ def schedule_cost(job: JobFunction, schedule: Schedule) -> Fraction:
 
 
 def standard_greedy(items, f: SetFunction, costs: CostVector) -> Schedule:
-    """Append full-cost pairs by best gain per unit time until the job is done.
+    """Append full-cost pairs by best gain per unit time until the job is
+    done: the picks of the greedy order (`GreedyOrder`) of all the items.
 
     Ties break on the lowest item index.  Requires f positive on all items.
     """
@@ -123,16 +124,10 @@ def standard_greedy(items, f: SetFunction, costs: CostVector) -> Schedule:
     full = f(frozenset(items))
     if full <= 0:
         raise PreconditionError("set function must be positive on all items")
-    chosen: list[int] = []
-    current = frozenset()
-    value = f(current)
-    while value < full:
-        remaining = [i for i in items if i not in current]
-        best = best_ratio(remaining, lambda i: f(current | {i}) - value, costs)
-        chosen.append(best)
-        current = current | {best}
-        value = f(current)
-    return full_cost_schedule(chosen, costs)
+    order = GreedyOrder(items, f, costs)
+    while order.values[-1] < full:
+        order.pick()
+    return full_cost_schedule(order.picks, costs)
 
 
 def greedy_prefix(schedule: Schedule, j: int) -> Schedule:

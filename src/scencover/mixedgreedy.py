@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budgeted import IncrementalFunction, best_ratio, find_budget
+from .budgeted import GreedyOrder, IncrementalFunction, find_budget
 from .core import (
     UNKNOWN,
     CostVector,
@@ -151,51 +151,41 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
 
     state = anchored_gain.root()  # g's state of b anchored on every pick
 
-    def stage(f, fstate):
-        """Anchor the best-ratio eligible item by f's gain until the budget
-        is spent, the goal is met, or no eligible item is left (tested in
-        that order).  `fstate` is f's state of the items anchored so far."""
+    def stage(f, items):
+        """Anchor the picks of f's greedy order over `items` until the
+        budget is spent, the goal is met, or no item is left (tested in
+        that order).  Returns the order and the exit."""
         nonlocal state
-        picked: list[int] = []
-        spent = 0  # in cost units
-        base = f.value(fstate)
+        order = GreedyOrder(items, f, costs)
         while True:
-            reached = {}  # item -> (state, value) of f with it anchored
-
-            def gain(i):
-                after = f.add(fstate, i)
-                v = f.value(after)
-                reached[i] = after, v
-                return v - base
-
-            best = best_ratio(eligible, gain, costs)
-            picked.append(best)
-            eligible.remove(best)
-            spent += units[best]
-            fstate, base = reached[best]
+            best = order.pick()
             state = step(state, best, sigma[best])
-            if spent >= spends:
-                return tuple(picked), "budget"
+            if order.spent[-1] >= spends:
+                return order, "budget"
             if level(state) == g.goal:
-                return tuple(picked), "goal"
-            if not eligible:
-                return tuple(picked), "exhausted"
+                return order, "goal"
+            if not order.remaining:
+                return order, "exhausted"
 
     _, wb = instance.sample.consistent_rows(b)
     if wb == 0:
         # no consistent mass: removing weight is pointless, go straight to
         # the utility stage
-        stage1, stage1_exit = (), "skipped"
+        stage1, stage1_exit, rest = (), "skipped", eligible
     else:
-        h = weight_removal_function(instance, b, sigma)
-        stage1, stage1_exit = stage(h, h.root())
+        order, stage1_exit = stage(
+            weight_removal_function(instance, b, sigma), eligible)
+        stage1, rest = tuple(order.picks), order.remaining
 
     if stage1_exit == "goal":
         stage2, stage2_exit = (), "skipped"
-    elif not eligible:
+    elif not rest:
         stage2, stage2_exit = (), "empty"
     else:
-        stage2, stage2_exit = stage(anchored_gain, state)
+        # the utility gained by anchoring a set, from stage 1's anchors on
+        gain = IncrementalFunction(state, anchored_gain.add, anchored_gain.value)
+        order, stage2_exit = stage(gain, rest)
+        stage2 = tuple(order.picks)
 
     return InvocationTrace(
         entry=b,

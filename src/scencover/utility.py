@@ -36,9 +36,10 @@ from .core import (
 
 
 class UtilityFunction:
-    """Base class: subclasses implement `_evaluate(b) -> int`, and may
-    replace the default state (b itself) by overriding `root`, `step`,
-    `level` and `state_of` together."""
+    """Base class.  A subclass either gives its states, overriding `root`,
+    `step`, `level` and `state_of` together, and its value is then the one
+    formula `level(state_of(b))`; or keeps the default state (b itself)
+    and overrides `_evaluate(b) -> int`."""
 
     def __init__(self, n: int, goal: int, alphabet: StateAlphabet):
         self.n = n
@@ -54,7 +55,8 @@ class UtilityFunction:
         return v
 
     def _evaluate(self, b) -> int:
-        raise NotImplementedError
+        """The value of b on a memo miss."""
+        return self.level(self.state_of(b))
 
     def root(self):
         """State of the empty partial realization."""
@@ -114,10 +116,6 @@ class OrUtility(UtilityFunction):
         self._step1, self._step2 = g1.step, g2.step
         self._level1, self._level2 = g1.level, g2.level
 
-    def _evaluate(self, b):
-        q1, q2 = self.left.goal, self.right.goal
-        return q1 * q2 - (q1 - self.left.value(b)) * (q2 - self.right.value(b))
-
     def root(self):
         return self.left.root(), self.right.root()
 
@@ -147,9 +145,6 @@ class EliminationUtility(UtilityFunction):
         # the row-mask API is the state API: bound once, called directly
         self.step = sample.step_mask
         self.state_of = sample.mask_of
-
-    def _evaluate(self, b):
-        return self.goal - self.measure(self.sample.mask_of(b))
 
     def root(self):
         return self.sample.all_rows
@@ -198,9 +193,6 @@ class KOfNUtility(UtilityFunction):
             raise PreconditionError("k must satisfy 1 <= k <= n")
         super().__init__(n, k * (n - k + 1), BINARY)
         self.k = k
-
-    def _evaluate(self, b):
-        return self.level(self.state_of(b))
 
     def root(self):
         return 0, 0
@@ -252,9 +244,6 @@ class CoverageUtility(UtilityFunction):
                 "element %d is uncovered under some realization"
                 % ((uncovered & -uncovered).bit_length() - 1)
             )
-
-    def _evaluate(self, b):
-        return self.state_of(b).bit_count()
 
     def root(self):
         return 0

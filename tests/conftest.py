@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from scencover.budgeted import ALPHA, Grid, wolsey_greedy
+from scencover.budgeted import ALPHA, Grid, best_ratio, wolsey_greedy
 from scencover.core import (
     UNKNOWN,
     CostVector,
@@ -27,7 +27,7 @@ from scencover.core import (
     set_items,
 )
 from scencover.generate import random_instance, random_set_function
-from scencover.minsum import JobFunction
+from scencover.minsum import JobFunction, full_cost_schedule
 from scencover.mixedgreedy import (
     InvocationTrace,
     combined_count_instance,
@@ -240,6 +240,25 @@ def job_after(job, prefix):
     by the schedule)."""
     done = job.completed(tuple(prefix))
     return JobFunction(lambda r: job.base(done | r), job.costs, job.scale)
+
+
+def reference_standard_greedy(items, f, costs):
+    """The schedule greedy as its own loop over frozensets: the reference
+    that `standard_greedy`, the picks of one `GreedyOrder`, must reproduce."""
+    items = sorted(items)
+    full = f(frozenset(items))
+    if full <= 0:
+        raise PreconditionError("set function must be positive on all items")
+    chosen: list[int] = []
+    current = frozenset()
+    value = f(current)
+    while value < full:
+        remaining = [i for i in items if i not in current]
+        best = best_ratio(remaining, lambda i: f(current | {i}) - value, costs)
+        chosen.append(best)
+        current = current | {best}
+        value = f(current)
+    return full_cost_schedule(chosen, costs)
 
 
 def check_wolsey_bound(items, f, costs, budget):

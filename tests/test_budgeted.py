@@ -23,6 +23,7 @@ from scencover.budgeted import (
     wolsey_greedy,
 )
 from scencover.core import CostVector
+from scencover.minsum import standard_greedy
 from scencover.generate import COST_POOL, BitmaskCoverage, random_set_function
 from scencover.oracle import optimal_budgeted
 from conftest import (
@@ -30,6 +31,7 @@ from conftest import (
     reference_best_ratio,
     reference_budget_candidates,
     reference_find_budget,
+    reference_standard_greedy,
     reference_wolsey_greedy,
     seeded_budgeted,
 )
@@ -244,7 +246,6 @@ def test_native_and_adapted_functions_agree(problem, data):
         order.prefix(sum(costs.units))
     assert orders[0].picks == orders[1].picks
     assert sorted(orders[0].picks) == items
-    assert orders[0].sets == orders[1].sets
     assert orders[0].values == orders[1].values
     assert orders[0].spent == orders[1].spent
     budgets = data.draw(st.lists(
@@ -255,6 +256,16 @@ def test_native_and_adapted_functions_agree(problem, data):
         got = wolsey_greedy(items, native, costs, budget, shared)
         assert got == wolsey_greedy(items, f, costs, budget)
         assert native(got) == f(got)
+
+
+@given(budget_problems(min_items=1))
+def test_standard_greedy_matches_reference(problem):
+    # the schedule greedy is the picks of one greedy order up to f(all):
+    # the same schedule as its own loop over frozensets
+    costs, f = problem
+    items = list(range(len(costs)))
+    assert (standard_greedy(items, f, costs)
+            == reference_standard_greedy(items, f, costs))
 
 
 @pytest.mark.parametrize("seed", [5, 9, 12])

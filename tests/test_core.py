@@ -142,7 +142,6 @@ def test_row_index_matches_row_scan(drawn):
     rows, weight = _scan(sample, b)
     assert sample.consistent_rows(b) == (rows, weight)
     assert sample.weight_of(b) == weight
-    assert sample.count_of(b) == len(rows)
     assert sample.total_weight == sum(w for _, w in sample.rows)
     assert sample.mass(sample.mask_of(b)) == weight
     if sample.rows:
@@ -152,7 +151,7 @@ def test_row_index_matches_row_scan(drawn):
             if s != U:
                 mask = sample.step_mask(mask, i, s)
         assert mask == sample.mask_of(b)
-        for query in (sample.consistent_rows, sample.weight_of, sample.count_of):
+        for query in (sample.consistent_rows, sample.weight_of):
             with pytest.raises(PreconditionError):
                 query(b + (U,))
 

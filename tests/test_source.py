@@ -99,3 +99,77 @@ def test_only_core_reads_the_sample_index():
     reads = {p.stem: private_sample_reads(p.read_text(encoding="utf-8"))
              for p in PACKAGE.glob("*.py")}
     assert {name for name, found in reads.items() if found} == {"core"}
+
+
+def callers_of(name: str, source: str) -> set[str]:
+    """Dotted names of the functions (classes and nested functions
+    included in the path) whose bodies call `name`, as a bare name or an
+    attribute; a call outside every function reads "<module>"."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else getattr(func, "attr", None))
+                if called == name:
+                    found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_callers_detected():
+    source = ("from .budgeted import best_ratio\n"
+              "class Order:\n"
+              "    def pick(self):\n"
+              "        return best_ratio(self.items, self.gain, self.costs)\n"
+              "def plan():\n"
+              "    def stage():\n"
+              "        return budgeted.best_ratio([], len, None)\n"
+              "    return best_ratio\n"
+              "best_ratio([], len, None)\n")
+    assert callers_of("best_ratio", source) == {"Order.pick", "plan.stage",
+                                                 "<module>"}
+
+
+def test_one_greedy_pick_loop():
+    """Every greedy loop picks through `GreedyOrder.pick`; the adaptive
+    policy's one choice per call is the only other caller of the argmax."""
+    calls = {(p.stem, caller) for p in PACKAGE.glob("*.py")
+             for caller in callers_of("best_ratio",
+                                      p.read_text(encoding="utf-8"))}
+    assert calls == {("budgeted", "GreedyOrder.pick"),
+                     ("adaptivegreedy", "AdaptiveGreedyStrategy.next_item")}
+
+
+def method_owners(name: str, source: str) -> set[str]:
+    """Classes whose own body defines the method `name`."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == name
+                    for item in node.body)}
+
+
+def test_method_owners_detected():
+    source = ("class A:\n    def _evaluate(self, b):\n        pass\n"
+              "class B(A):\n    def level(self, s):\n"
+              "        def _evaluate():\n            pass\n")
+    assert method_owners("_evaluate", source) == {"A"}
+
+
+def test_one_value_formula():
+    """A utility with states is valued by the base class's one formula,
+    level(state_of(b)); only the default-state utilities have their own."""
+    owners = {(p.stem, cls) for p in PACKAGE.glob("*.py")
+              for cls in method_owners("_evaluate",
+                                       p.read_text(encoding="utf-8"))}
+    assert owners == {("utility", "UtilityFunction"),
+                      ("utility", "TableUtility"),
+                      ("mixedgreedy", "InducedUtility")}
