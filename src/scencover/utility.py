@@ -14,7 +14,10 @@ folding `step` over b's observations in any order reaches `state_of(b)`,
 and `level(state_of(b)) == value(b)`.  Coverage, k-of-n, count and weight
 elimination and OR carry a small native state (a bitmask, two counts, a row
 mask, a pair); the default state, kept by `TableUtility` and the induced
-utility, is b itself, read through `value`.
+utility, is b itself, read through `value`.  The exhaustive passes over
+all partial realizations (the property checkers and `min_progress_ratio`)
+fold the states into one table of levels (`partial_table`) and leave the
+memo alone.
 """
 
 from __future__ import annotations
@@ -282,13 +285,47 @@ class CheckReport:
         return self.ok
 
 
+def partial_table(alphabet: StateAlphabet, n: int, root, step, finish) -> list:
+    """`finish` of the state of every partial realization, in
+    `enumerate_partials` order, folded from `root` with one `step` per
+    partial realization but the empty one, after `enumerate_partials` has
+    checked its budget.
+
+    Entry c is that of the b with code c = sum of d_i·(S+1)^(n-1-i), d_i
+    the alphabet index of b[i] and S, the number of states, that of the
+    unknown marker.  So with item i free in b, b + (i, states[k]) sits at
+    c - (S-k)·(S+1)^(n-1-i).
+    """
+    enumerate_partials(alphabet, n)
+    states = alphabet.states
+    layer = [root]
+    for i in range(n):
+        children = []
+        for state in layer:
+            children += [step(state, i, s) for s in states]
+            children.append(state)
+        layer = children
+    return list(map(finish, layer))
+
+
+def _level_table(g: UtilityFunction) -> tuple[list, list]:
+    """g's `partial_table` of levels, and offsets[i][k]: how far the code
+    of b + (i, states[k]) lies below that of b, for item i free in b."""
+    s = len(g.alphabet)
+    offsets = [[(s - k) * (s + 1) ** (g.n - 1 - i) for k in range(s)]
+               for i in range(g.n)]
+    return partial_table(g.alphabet, g.n, g.root(), g.step, g.level), offsets
+
+
 def check_monotone(g: UtilityFunction) -> CheckReport:
     """Exhaustive monotonicity check; witness is (b, i, state) on failure."""
-    for b in enumerate_partials(g.alphabet, g.n):
-        gb = g.value(b)
+    value, offsets = _level_table(g)
+    states = g.alphabet.states
+    for c, b in enumerate(enumerate_partials(g.alphabet, g.n)):
+        vb = value[c]
         for i in free_items(b):
-            for state in g.alphabet:
-                if g.value(extend(b, i, state)) < gb:
+            for state, d in zip(states, offsets[i]):
+                if value[c - d] < vb:
                     return CheckReport(False, (b, i, state))
     return CheckReport(True)
 
@@ -302,21 +339,27 @@ def check_submodular(g: UtilityFunction) -> CheckReport:
     extensions, every item free in b2 free throughout, so the gains of a
     free item i chain down from b1 to b2.  Witness is (b, b', i, state) with
     the gain at b' strictly larger than at b.
+
+    The test of (i, s) at b+(j,t), g(b+(i,s)) + g(b+(j,t)) < g(b) +
+    g(b+(j,t)+(i,s)), is symmetric in (i, s) and (j, t), so only i > j is
+    tested: of the two orders of a failing pair, the loop meets that one
+    first, so the witness is the one of the test of every i != j.
     """
-    value = g.value
+    value, offsets = _level_table(g)
     states = g.alphabet.states
-    for b in enumerate_partials(g.alphabet, g.n):
+    for c, b in enumerate(enumerate_partials(g.alphabet, g.n)):
         frees = free_items(b)
-        vb = value(b)
-        gains = {(i, s): value(extend(b, i, s)) - vb
-                 for i in frees for s in states}
-        for j in frees:
-            for t in states:
-                b2 = extend(b, j, t)
-                v2 = value(b2)
-                for (i, s), gain in gains.items():
-                    if i != j and gain < value(extend(b2, i, s)) - v2:
-                        return CheckReport(False, (b, b2, i, s))
+        vb = value[c]
+        gains = [(i, s, d, value[c - d] - vb)
+                 for i in frees for s, d in zip(states, offsets[i])]
+        for m, j in enumerate(frees):
+            later = gains[(m + 1) * len(states):]  # the items after j
+            for t, dj in zip(states, offsets[j]):
+                c2 = c - dj
+                v2 = value[c2]
+                for i, s, d, gain in later:
+                    if gain < value[c2 - d] - v2:
+                        return CheckReport(False, (b, extend(b, j, t), i, s))
     return CheckReport(True)
 
 
@@ -346,23 +389,36 @@ def check_adaptive_submodular(g: UtilityFunction, sample: WeightedSample) -> Che
     is the check over all pairs b1 < b2 with W(b2) > 0: they are joined by a
     chain of one-item extensions, each free item of b2 free throughout, and
     every state on the chain extends to b2, so it carries weight >= W(b2) > 0
-    and no step of the chain is skipped.  Witness is (b, b', i) on failure.
+    and no step of the chain is skipped.  The expected gains are compared as
+    W(b)·`expected_marginal` by integer cross-products (both weights are
+    positive).  Witness is (b, b', i) on failure.
     """
-    weight_of = sample.weight_of
-    states = g.alphabet.states
-    for b in enumerate_partials(g.alphabet, g.n):
-        if weight_of(b) == 0:
+    value, offsets = _level_table(g)
+    if not sample.rows:
+        return CheckReport(True)  # every partial realization weighs 0
+    # the root's mask_of checks that the sample has g's dimension
+    weight = partial_table(g.alphabet, g.n, sample.mask_of(empty_partial(g.n)),
+                           sample.step_mask, sample.mass)
+
+    def weighted_gain(c, i):
+        vb = value[c]
+        return sum(weight[c - d] * (value[c - d] - vb) for d in offsets[i])
+
+    for c, b in enumerate(enumerate_partials(g.alphabet, g.n)):
+        wb = weight[c]
+        if wb == 0:
             continue
         frees = free_items(b)
-        gains = {i: expected_marginal(g, sample, b, i) for i in frees}
+        gains = [(i, weighted_gain(c, i)) for i in frees]
         for j in frees:
-            for t in states:
-                b2 = extend(b, j, t)
-                if weight_of(b2) == 0:
+            for t, dj in zip(g.alphabet.states, offsets[j]):
+                c2 = c - dj
+                w2 = weight[c2]
+                if w2 == 0:
                     continue
-                for i, gain in gains.items():
-                    if i != j and gain < expected_marginal(g, sample, b2, i):
-                        return CheckReport(False, (b, b2, i))
+                for i, gain in gains:
+                    if i != j and gain * w2 < weighted_gain(c2, i) * wb:
+                        return CheckReport(False, (b, extend(b, j, t), i))
     return CheckReport(True)
 
 
@@ -394,17 +450,16 @@ def min_progress_ratio(g: UtilityFunction) -> ProgressReport:
     `Fraction` is made at the end.
     """
     goal = g.goal
-    value = g.value
+    value, offsets = _level_table(g)
     states = g.alphabet.states
     best_num = best_den = witness = None
-    for b in enumerate_partials(g.alphabet, g.n):
-        gb = value(b)
+    for c, b in enumerate(enumerate_partials(g.alphabet, g.n)):
+        gb = value[c]
         if gb >= goal:
             continue
         remaining = goal - gb
         for i in free_items(b):
-            head, tail = b[:i], b[i + 1:]
-            gains = [value(head + (s,) + tail) - gb for s in states]
+            gains = [value[c - d] - gb for d in offsets[i]]
             worst = gains.index(min(gains))
             for k, gain in enumerate(gains):
                 if k != worst and (best_num is None

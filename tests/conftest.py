@@ -473,6 +473,61 @@ def reference_min_progress_ratio(g):
     return ProgressReport(best, witness)
 
 
+def reference_check_monotone(g):
+    """Monotonicity between each b and its one-item extensions, read
+    through `value`; witness (b, i, state)."""
+    for b in enumerate_partials(g.alphabet, g.n):
+        gb = g.value(b)
+        for i in free_items(b):
+            for state in g.alphabet:
+                if g.value(extend(b, i, state)) < gb:
+                    return CheckReport(False, (b, i, state))
+    return CheckReport(True)
+
+
+def reference_one_step_submodular(g):
+    """Diminishing gains between each b and its one-item extensions
+    b2 = b+(j,t), every (i, state) with i != j tested, read through
+    `value`; witness (b, b2, i, state)."""
+    value = g.value
+    states = g.alphabet.states
+    for b in enumerate_partials(g.alphabet, g.n):
+        frees = free_items(b)
+        vb = value(b)
+        gains = {(i, s): value(extend(b, i, s)) - vb
+                 for i in frees for s in states}
+        for j in frees:
+            for t in states:
+                b2 = extend(b, j, t)
+                v2 = value(b2)
+                for (i, s), gain in gains.items():
+                    if i != j and gain < value(extend(b2, i, s)) - v2:
+                        return CheckReport(False, (b, b2, i, s))
+    return CheckReport(True)
+
+
+def reference_one_step_adaptive_submodular(g, sample):
+    """Adaptive submodularity between each b of positive weight and its
+    one-item extensions b2 of positive weight, comparing `Fraction`
+    expected gains; witness (b, b2, i)."""
+    weight_of = sample.weight_of
+    states = g.alphabet.states
+    for b in enumerate_partials(g.alphabet, g.n):
+        if weight_of(b) == 0:
+            continue
+        frees = free_items(b)
+        gains = {i: expected_marginal(g, sample, b, i) for i in frees}
+        for j in frees:
+            for t in states:
+                b2 = extend(b, j, t)
+                if weight_of(b2) == 0:
+                    continue
+                for i, gain in gains.items():
+                    if i != j and gain < expected_marginal(g, sample, b2, i):
+                        return CheckReport(False, (b, b2, i))
+    return CheckReport(True)
+
+
 def _strict_ancestors(b):
     """All b0 with b > b0, obtained by unsetting nonempty subsets of set items."""
     fixed = set_items(b)

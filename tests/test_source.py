@@ -173,3 +173,42 @@ def test_one_value_formula():
     assert owners == {("utility", "UtilityFunction"),
                       ("utility", "TableUtility"),
                       ("mixedgreedy", "InducedUtility")}
+
+
+#: The exhaustive passes over partial realizations, which read level and
+#: weight tables (`utility.partial_table`), and the per-tuple reads of the
+#: value memo and the sample they must not make; `extend` builds witnesses.
+EXHAUSTIVE_PASSES = {"min_progress_ratio", "check_monotone",
+                     "check_submodular", "check_adaptive_submodular"}
+MEMO_READS = ("value", "marginal", "expected_marginal", "weight_of")
+
+
+def memo_reads(source: str) -> set[tuple[str, str]]:
+    """(pass, name) for each exhaustive pass whose body, nested functions
+    included, calls one of MEMO_READS."""
+    return {(caller.split(".")[0], name) for name in MEMO_READS
+            for caller in callers_of(name, source)
+            if caller.split(".")[0] in EXHAUSTIVE_PASSES}
+
+
+def test_memo_reads_detected():
+    source = ("def check_monotone(g):\n"
+              "    return g.value(extend(b, 0, '0'))\n"
+              "def check_adaptive_submodular(g, sample):\n"
+              "    def gain(b):\n"
+              "        return expected_marginal(g, sample, b, 0)\n"
+              "    return extend(b, 0, '1')\n"
+              "def worst_state(g, b, i):\n"
+              "    return marginal(g, b, i, '0')\n")
+    assert memo_reads(source) == {("check_monotone", "value"),
+                                  ("check_adaptive_submodular",
+                                   "expected_marginal")}
+
+
+def test_exhaustive_passes_read_tables():
+    """The four passes read one level table (and a weight table) by code
+    arithmetic, not one memo lookup per partial realization."""
+    source = (PACKAGE / "utility.py").read_text(encoding="utf-8")
+    assert EXHAUSTIVE_PASSES <= {node.name for node in ast.parse(source).body
+                                 if isinstance(node, ast.FunctionDef)}
+    assert memo_reads(source) == set()

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scencover.core import (
+    MAX_CHECK_SPACE,
     UNKNOWN,
+    OracleBudgetError,
     PreconditionError,
     StateAlphabet,
     WeightedSample,
@@ -39,6 +41,7 @@ from scencover.utility import (
     expected_marginal,
     marginal,
     min_progress_ratio,
+    partial_table,
     scenario_count_utility,
     scenario_weight_utility,
     worst_state,
@@ -47,8 +50,11 @@ from conftest import (
     FAMILIES,
     instance_stream,
     reference_check_adaptive_submodular,
+    reference_check_monotone,
     reference_check_submodular,
     reference_min_progress_ratio,
+    reference_one_step_adaptive_submodular,
+    reference_one_step_submodular,
 )
 
 U = UNKNOWN
@@ -199,6 +205,10 @@ def test_check_adaptive_submodular_violation():
     sample = WeightedSample(((("0", "0"), 1), (("0", "1"), 1), (("1", "1"), 1)))
     report = check_adaptive_submodular(g, sample)
     assert not report.ok and report.witness is not None
+    # no row: every partial realization weighs 0 and every pair is skipped
+    assert check_adaptive_submodular(g, WeightedSample(())).ok
+    with pytest.raises(PreconditionError):
+        check_adaptive_submodular(g, WeightedSample(((("0",), 1),)))
 
 
 def test_check_adaptive_submodular_g_w():
@@ -252,22 +262,53 @@ def test_one_step_checkers_match_all_pairs_reference():
     assert min(verdicts.values()) >= 100 and len(verdicts) == 4
 
 
+def checkers_match_one_step_references(g, sample):
+    """Run the three checkers on (g, sample), asserting each report, verdict
+    and witness, equal to its one-step reference read through `value`;
+    returns the verdicts."""
+    reports = (check_monotone(g), check_submodular(g),
+               check_adaptive_submodular(g, sample))
+    references = (reference_check_monotone(g), reference_one_step_submodular(g),
+                  reference_one_step_adaptive_submodular(g, sample))
+    assert reports == references
+    return tuple(report.ok for report in reports)
+
+
+def test_checkers_match_one_step_references():
+    failures = Counter()
+    for seed in range(1000):
+        verdicts = checkers_match_one_step_references(*near_coverage_case(seed))
+        failures.update(k for k, ok in enumerate(verdicts) if not ok)
+    # every checker fails often, so the witnesses are compared often
+    assert min(failures[k] for k in range(3)) >= 100
+    families = set()
+    for _, inst, descriptor in instance_stream(60, base_seed=1500, max_n=4,
+                                               max_rows=6):
+        families.add(descriptor["kind"])
+        checkers_match_one_step_references(inst.utility, inst.sample)
+    assert families == set(FAMILIES)
+
+
 def test_check_submodular_value_calls_bounded():
-    # one-item extensions only: 4 calls per (b, j, t, i, s) at most, which
-    # the all-ancestor check exceeds many times over
+    # one level per partial realization and one step per partial
+    # realization but the empty one, and no read of the value memo
     s, n = 2, 6
     g, _ = random_coverage_utility(random.Random(6), n, BINARY)
-    evaluate = g.value
-    calls = 0
+    calls = Counter()
 
-    def counted(b):
-        nonlocal calls
-        calls += 1
-        return evaluate(b)
+    def count(name):
+        method = getattr(g, name)
 
-    g.value = counted
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        setattr(g, name, counted)
+
+    for name in ("step", "level", "value"):
+        count(name)
     assert check_submodular(g).ok
-    assert 0 < calls <= 4 * s ** 2 * n * (n - 1) * (s + 1) ** (n - 2)
+    assert dict(calls) == {"level": (s + 1) ** n, "step": (s + 1) ** n - 1}
 
 
 def _brute_rho(g):
@@ -425,3 +466,31 @@ def test_step_fold_matches_value(family, states, n, seed, data):
         state = g.step(state, i, b[i])
     assert state == g.state_of(b)
     assert g.level(state) == g.value(b)
+
+
+@given(st.sampled_from(STATE_FAMILIES), st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32))
+def test_partial_table_matches_value(family, states, n, seed):
+    # the level table and the weight table list value(b) and weight_of(b)
+    # in enumeration order
+    alphabet = BINARY if family == "k_of_n" else default_alphabet(states)
+    rng = random.Random(seed)
+    g = family_utility(family, rng, n, alphabet)
+    sample = random_sample(rng, alphabet, n, rng.randint(1, 8))
+    partials = list(enumerate_partials(alphabet, n))
+    assert (partial_table(alphabet, n, g.root(), g.step, g.level)
+            == [g.value(b) for b in partials])
+    assert (partial_table(alphabet, n, sample.all_rows, sample.step_mask,
+                          sample.mass)
+            == [sample.weight_of(b) for b in partials])
+
+
+def test_partial_table_refused_before_any_step():
+    def step(state, i, s):
+        raise AssertionError("stepped before the budget check")
+
+    # 3^12 partial realizations exceed the budget, 3^11 fit
+    with pytest.raises(OracleBudgetError, match=str(MAX_CHECK_SPACE)):
+        partial_table(BINARY, 12, 0, step, int)
+    assert len(partial_table(BINARY, 11, 0, lambda state, i, s: state,
+                             int)) == 3 ** 11
