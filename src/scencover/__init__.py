@@ -43,9 +43,7 @@ from .utility import (
 )
 from .budgeted import (
     ALPHA,
-    GREEDY_CONSTANTS,
     find_budget,
-    solve_chi,
     wolsey_greedy,
 )
 from .minsum import (
@@ -59,8 +57,6 @@ from .minsum import (
     truncate,
 )
 from .oracle import (
-    DEFAULT_LIMITS,
-    OracleLimits,
     optimal_budgeted,
     optimal_schedule,
     optimal_tree,

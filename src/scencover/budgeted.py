@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -66,35 +65,9 @@ def incremental(f) -> IncrementalFunction:
     return IncrementalFunction(frozenset(), lambda r, i: r | {i}, f)
 
 
-#: Residual tolerance for the root of e^chi = 2 - chi.
-CHI_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class GreedyConstants:
-    chi: Fraction
-    alpha: Fraction
-
-
-def solve_chi() -> GreedyConstants:
-    """Bisection root of e^x + x - 2 on [0, 1]; alpha = 1 - e^(-chi).
-
-    Both constants are returned as exact binary fractions of the float
-    results, so downstream comparisons stay rational and deterministic.
-    """
-    lo, hi = 0.0, 1.0
-    while hi - lo > CHI_TOLERANCE / 4:
-        mid = (lo + hi) / 2
-        if math.exp(mid) + mid - 2 < 0:
-            lo = mid
-        else:
-            hi = mid
-    chi = (lo + hi) / 2
-    return GreedyConstants(Fraction(chi), Fraction(1 - math.exp(-chi)))
-
-
-GREEDY_CONSTANTS = solve_chi()
-ALPHA = GREEDY_CONSTANTS.alpha
+#: alpha = 1 - e^(-chi), e^chi = 2 - chi, as a binary fraction 1.6e-14 below
+#: the true value (tests/test_budgeted.py proves the side with exact bounds).
+ALPHA = Fraction(402846193967327, 1 << 50)
 
 
 def best_ratio(items: Iterable[int], gain: Callable[[int], "int | Fraction"],

@@ -99,6 +99,9 @@ def random_instance(rng: random.Random, n: int = 4, num_states: int = 2,
     coverage utility with the respective elimination combination over the
     generated sample.
     """
+    if n < 1 or universe_size < 1:
+        raise PreconditionError("n and universe_size must be at least 1, got "
+                                "%d and %d" % (n, universe_size))
     alphabet = default_alphabet(num_states)
     sample = random_sample(rng, alphabet, n, sample_size)
     costs = random_costs(rng, n)

@@ -57,9 +57,9 @@ def execute_online(strategy: Strategy, reveal, costs: CostVector):
         b = extend(b, i, reveal(i))
 
 
-def anchored(b, items, sigma: dict):
-    """b with each of `items` set to its anchor state sigma[i], built in
-    one pass.  Every item must be free in b."""
+def anchored(b, items, sigma):
+    """b with each of `items` set to its state sigma[i] (a dict by item or a
+    realization), built in one pass.  Every item must be free in b."""
     cur = list(b)
     for i in items:
         if cur[i] != UNKNOWN:
@@ -228,12 +228,10 @@ class MixedGreedyStrategy(Strategy):
                 if b[i] == UNKNOWN:
                     return i
                 if b[i] != trace.sigma[i]:
-                    # off the backbone: the next frame is b up to item i
-                    for j in trace.plan[:k + 1]:
-                        frame = extend(frame, j, b[j])
                     break
-            else:
-                frame = trace.final
+            # off the backbone at plan[k], or past its end (b agrees with
+            # sigma there: trace.final); plans are never empty
+            frame = anchored(frame, trace.plan[:k + 1], b)
 
 
 def mixed_greedy(instance: ScenarioInstance, traces: list | None = None):

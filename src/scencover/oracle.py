@@ -19,7 +19,6 @@ optimum is U(root)/(W·L).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -35,17 +34,12 @@ from .core import (
 from .minsum import full_cost_schedule, item_orders, make_job, schedule_cost
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_items: int = 6
-    max_states: int = 3
-    max_rows: int = 8
+#: The exhaustive tree recursion's budget: more items, states or sample
+#: rows than these are refused before any work.
+MAX_ORACLE_ITEMS, MAX_ORACLE_STATES, MAX_ORACLE_ROWS = 6, 3, 8
 
 
-DEFAULT_LIMITS = OracleLimits()
-
-
-def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMITS):
+def optimal_tree(instance: ScenarioInstance):
     """Exact minimum expected cost over all valid strategies.
 
     Recursion over partial realizations in the integer units U(b) of the
@@ -62,12 +56,12 @@ def optimal_tree(instance: ScenarioInstance, limits: OracleLimits = DEFAULT_LIMI
     `materialize` of that policy.  Returns (tree, expected cost), the cost
     as the `Fraction` U(root)/(W·L).
     """
-    if (instance.n > limits.max_items or len(instance.alphabet) > limits.max_states
-            or instance.sample.size > limits.max_rows):
+    shape = (instance.n, len(instance.alphabet), instance.sample.size)
+    limits = (MAX_ORACLE_ITEMS, MAX_ORACLE_STATES, MAX_ORACLE_ROWS)
+    if any(size > limit for size, limit in zip(shape, limits)):
         raise OracleBudgetError(
-            "instance (n=%d, states=%d, rows=%d) exceeds oracle limits %r"
-            % (instance.n, len(instance.alphabet), instance.sample.size, limits)
-        )
+            "instance (n=%d, states=%d, rows=%d) exceeds the oracle budget of "
+            "%d items, %d states and %d rows" % (shape + limits))
     if not instance.sample.rows:
         raise PreconditionError("optimal tree undefined for an empty sample")
     g = instance.utility

@@ -1,8 +1,9 @@
 """Instance file format: a JSON document with exact rational costs,
 integer-weighted sample rows, and a tagged utility descriptor.
 
-Items are 1-based in files and 0-based in code.  Emission is deterministic
-(sorted keys, fixed indentation) so identical inputs give identical bytes.
+Items are 1-based in files and 0-based in code.  Integer fields reject JSON
+booleans (`type(x) is int`).  Emission is deterministic (sorted keys, fixed
+indentation) so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
         if alphabet.states != BINARY.states:
             raise ParseError('k_of_n requires states ["0", "1"]')
         k = descriptor.get("k")
-        if not isinstance(k, int) or not 1 <= k <= n:
+        if type(k) is not int or not 1 <= k <= n:
             raise ParseError("k_of_n needs an integer k with 1 <= k <= n")
         return KOfNUtility(n, k)
     if kind == "coverage":
         size = descriptor.get("universe_size")
-        if not isinstance(size, int) or size < 1:
+        if type(size) is not int or size < 1:
             raise ParseError("coverage needs a positive universe_size")
         raw = descriptor.get("covers")
         if not isinstance(raw, dict):
@@ -83,7 +84,7 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
             for s, elements in per_state.items():
                 if s not in alphabet.states:
                     raise ParseError("undeclared state %r in covers" % s)
-                if any(not isinstance(u, int) or not 0 <= u < size
+                if any(type(u) is not int or not 0 <= u < size
                        for u in elements):
                     raise ParseError("covered elements must lie in 0..%d"
                                      % (size - 1))
@@ -98,7 +99,7 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
         # partial realization's entries joined by commas ("*" for unknown)
         goal = descriptor.get("goal")
         values = descriptor.get("values")
-        if not isinstance(goal, int) or goal < 1:
+        if type(goal) is not int or goal < 1:
             raise ParseError("table needs a positive integer goal")
         if not isinstance(values, dict):
             raise ParseError("table needs a values map")
@@ -108,7 +109,7 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
             if len(b) != n or any(s != "*" and s not in alphabet.states
                                   for s in b):
                 raise ParseError("bad table key %r" % key)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ParseError("table values must be nonnegative integers")
             table[b] = v
         return TableUtility(table, goal, n, alphabet)
@@ -123,10 +124,11 @@ def parse_document(doc):
     """Build (instance, descriptor) from a decoded JSON document."""
     if not isinstance(doc, dict):
         raise ParseError("instance file must be a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError("unsupported version %r" % doc.get("version"))
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError("unsupported version %r" % (version,))
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("n must be a positive integer")
     states = doc.get("states")
     if (not isinstance(states, list) or len(states) < 2
@@ -152,7 +154,7 @@ def parse_document(doc):
                 "sample row %d: assignment must list %d declared states"
                 % (k, n)
             )
-        if not isinstance(weight, int) or weight < 1:
+        if type(weight) is not int or weight < 1:
             raise ParseError("sample row %d: weight must be a positive integer"
                              % k)
         rows.append((tuple(assignment), weight))

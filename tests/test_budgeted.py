@@ -12,14 +12,12 @@ from hypothesis import example, given, strategies as st
 from scencover import budgeted
 from scencover.budgeted import (
     ALPHA,
-    CHI_TOLERANCE,
     GreedyOrder,
     IncrementalFunction,
     PreconditionError,
     best_ratio,
     budget_candidates,
     find_budget,
-    solve_chi,
     wolsey_greedy,
 )
 from scencover.core import CostVector
@@ -41,15 +39,39 @@ def additive(values):
     return lambda r: sum(values[i] for i in r)
 
 
-def test_solve_chi_constants():
-    constants = solve_chi()
-    chi = constants.chi
-    assert abs(math.exp(chi) - (2 - chi)) <= CHI_TOLERANCE
-    assert Fraction(35, 100) < constants.alpha < Fraction(36, 100)
+def exp_bounds(x: Fraction, terms: int = 20):
+    """Rational bounds lo <= e^x <= hi for 0 <= x <= 1: the Taylor partial
+    sum of `terms` terms, and it plus 3·x^terms/terms!, which exceeds the
+    remainder e^x - sum (at most e^x·x^terms/terms! < 3·x^terms/terms!)."""
+    total, term = Fraction(0), Fraction(1)
+    for j in range(terms):
+        total += term
+        term = term * x / (j + 1)
+    return total, total + 3 * term
+
+
+def chi_of(alpha: Fraction) -> Fraction:
+    """The chi with alpha = (1 - chi)/(2 - chi), the value of
+    1 - e^(-chi) where e^chi = 2 - chi; alpha falls as chi grows."""
+    return (1 - 2 * alpha) / (1 - alpha)
+
+
+def test_alpha_lies_just_below_the_wolsey_constant():
+    # e^x + x - 2 rises, so the true chi* lies below c exactly when
+    # e^c > 2 - c, and then alpha* = alpha(chi*) > alpha(c); it lies above
+    # c exactly when e^c < 2 - c, and then alpha* < alpha(c)
+    assert ALPHA == Fraction(402846193967327, 2**50)
+    assert Fraction(35, 100) < ALPHA < Fraction(36, 100)
+    c = chi_of(ALPHA)
+    assert 0 < c < 1 and exp_bounds(c)[0] > 2 - c  # ALPHA < alpha*
+    gap = Fraction(1, 2**40)
+    c = chi_of(ALPHA + gap)
+    assert 0 < c < 1 and exp_bounds(c)[1] < 2 - c  # alpha* < ALPHA + 2^-40
     # independent root via mpmath
-    root = mpmath.findroot(lambda x: mpmath.e**x + x - 2, 0.4)
-    assert abs(chi - float(root)) < 1e-10
-    assert abs(constants.alpha - (1 - float(mpmath.e**-root))) < 1e-10
+    with mpmath.workdps(30):
+        root = mpmath.findroot(lambda x: mpmath.e**x + x - 2, 0.4)
+        below = 1 - mpmath.e**-root - mpmath.mpf(ALPHA.numerator) / 2**50
+    assert 1e-14 < below < 2e-14
 
 
 def test_wolsey_greedy_hand_trace():

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from scencover import utility
+from scencover import cli, utility
 from scencover.cli import main
-from scencover.core import MAX_CHECK_SPACE
-from scencover.serialize import dumps_document
+from scencover.core import MAX_CHECK_SPACE, Node, follow
+from scencover.mixedgreedy import mixed_greedy
+from scencover.serialize import dumps_document, load_instance
 
 
 def run(argv):
@@ -123,6 +124,35 @@ def test_solve_oracle_refusal_exits_3(tmp_path):
                 "--out", tmp_path / "o.json"]) == 3
 
 
+def test_solve_writes_row_traces_above_tree_budget(tmp_path, monkeypatch):
+    # above MAX_TREE_NODES the report lists each sample row's path instead
+    monkeypatch.setattr(cli, "MAX_TREE_NODES", 1)
+    doc = k_of_n_doc(n=4, k=2)
+    infile = write_doc(tmp_path / "inst.json", doc)
+    out = tmp_path / "report.json"
+    assert run(["solve", "--algorithm", "mixed", "--in", infile,
+                "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert "tree" not in report["strategy"]
+    rows = report["strategy"]["trace"]
+    instance, _ = load_instance(infile)
+    tree = mixed_greedy(instance)
+    assert [(tuple(r["assignment"]), r["weight"]) for r in rows] \
+        == list(instance.sample.rows)
+    for row in rows:
+        queried, node = [], tree
+        while isinstance(node, Node):
+            queried.append(node.item)
+            node = node.children[row["assignment"][node.item]]
+        cost, _ = follow(tree, tuple(row["assignment"]), instance.costs)
+        assert Fraction(row["cost"]) == cost
+        assert cost == sum(instance.costs[i] for i in queried)
+        assert row["items"] == sorted(i + 1 for i in queried)
+    mean = (sum(Fraction(r["cost"]) * r["weight"] for r in rows)
+            / sum(r["weight"] for r in rows))
+    assert mean == Fraction(report["expected_cost"]["exact"])
+
+
 def test_check_goal_refused_above_enumeration_budget(tmp_path, capsys):
     # 2^18 full realizations exceed verify_goal_on_full's 200,000 budget
     infile = tmp_path / "wide.json"
@@ -180,6 +210,16 @@ def test_gen_determinism(tmp_path):
 def test_gen_rejects_empty_sample(tmp_path):
     assert run(["gen", "--seed", 1, "--n", 3, "--family", "coverage",
                 "--sample-size", 0, "--out", tmp_path / "z.json"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--n", 0), ("--universe-size", -2)])
+def test_gen_rejects_sizes_below_one(tmp_path, capsys, flag, value):
+    # a flag given twice keeps its last value
+    assert run(["gen", "--seed", 1, "--family", "coverage",
+                "--out", tmp_path / "z.json", "--n", 3, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("generation failed: ") and "Traceback" not in err
+    assert not (tmp_path / "z.json").exists()
 
 
 def test_gen_output_passes_checks(tmp_path):

@@ -16,12 +16,11 @@ from scencover.core import (
     extend,
     validate_tree,
 )
+from scencover import oracle
 from scencover.generate import random_instance
 from scencover.oracle import (
-    DEFAULT_LIMITS,
     MAX_SUBSET_ITEMS,
     OracleBudgetError,
-    OracleLimits,
     optimal_budgeted,
     optimal_schedule,
     optimal_tree,
@@ -91,8 +90,14 @@ def equal_costs(inst, cost):
                             CostVector((cost,) * inst.n), inst.alphabet)
 
 
+def raise_oracle_budget(monkeypatch, items, rows):
+    """Admit up to `items` items and `rows` sample rows to `optimal_tree`."""
+    monkeypatch.setattr(oracle, "MAX_ORACLE_ITEMS", items)
+    monkeypatch.setattr(oracle, "MAX_ORACLE_ROWS", rows)
+
+
 def larger_instances(count, seed):
-    """Binary instances of n = 7 and 8 items, beyond the default limits."""
+    """Binary instances of n = 7 and 8 items, beyond the oracle's budget."""
     rng = random.Random(seed)
     for k in range(count):
         inst, descriptor = random_instance(
@@ -102,19 +107,17 @@ def larger_instances(count, seed):
         yield inst, descriptor
 
 
-def test_optimal_tree_matches_reference_recursion():
+def test_optimal_tree_matches_reference_recursion(monkeypatch):
     families, states, zero_mass = set(), set(), 0
     cases = []
     for _, inst, descriptor in instance_stream(60, base_seed=300, max_n=5,
                                                max_rows=6):
-        cases.append((inst, descriptor, DEFAULT_LIMITS))
-        cases.append((equal_costs(inst, Fraction(3, 2)), descriptor,
-                      DEFAULT_LIMITS))
-    limits = OracleLimits(max_items=8, max_states=2, max_rows=12)
-    cases += [(inst, descriptor, limits)
-              for inst, descriptor in larger_instances(6, seed=11)]
-    for inst, descriptor, lim in cases:
-        tree, cost = optimal_tree(inst, lim)
+        cases.append((inst, descriptor))
+        cases.append((equal_costs(inst, Fraction(3, 2)), descriptor))
+    cases += larger_instances(6, seed=11)
+    raise_oracle_budget(monkeypatch, items=8, rows=12)
+    for inst, descriptor in cases:
+        tree, cost = optimal_tree(inst)
         ref_tree, ref_cost = reference_optimal_tree(inst)
         assert tree == ref_tree
         assert cost == ref_cost
@@ -124,30 +127,34 @@ def test_optimal_tree_matches_reference_recursion():
     assert families == set(FAMILIES)
     assert states == {2, 3}
     assert zero_mass > 0
-    assert {inst.n for inst, _, _ in cases} >= {7, 8}
+    assert {inst.n for inst, _ in cases} >= {7, 8}
 
 
-def test_optimal_tree_matches_reference_at_nine_items():
+def test_optimal_tree_matches_reference_at_nine_items(monkeypatch):
     # each child's row mask is one `step_mask` of its parent's; at n=9 and
     # m=24 the passed masks must give the reference's trees and costs
     rng = random.Random(9024)
-    limits = OracleLimits(max_items=9, max_states=2, max_rows=24)
+    raise_oracle_budget(monkeypatch, items=9, rows=24)
     for k in range(2 * len(FAMILIES)):
         inst, _ = random_instance(
             rng, n=9, num_states=2, sample_size=24,
             family=FAMILIES[k % len(FAMILIES)], universe_size=rng.randint(3, 6))
-        tree, cost = optimal_tree(inst, limits)
+        tree, cost = optimal_tree(inst)
         ref_tree, ref_cost = reference_optimal_tree(inst)
         assert tree == ref_tree
         assert cost == ref_cost
 
 
-def test_optimal_tree_budget_refusal():
+def test_optimal_tree_budget_refusal(monkeypatch):
     inst = all_items_instance(7)
-    with pytest.raises(OracleBudgetError):
+    # the refusal names the instance's shape and each limit
+    with pytest.raises(OracleBudgetError,
+                       match=r"\(n=7, states=2, rows=1\) exceeds the oracle "
+                             r"budget of 6 items, 3 states and 8 rows"):
         optimal_tree(inst)
-    # relaxed limits admit it
-    tree, cost = optimal_tree(inst, OracleLimits(max_items=7))
+    # a raised budget admits it
+    monkeypatch.setattr(oracle, "MAX_ORACLE_ITEMS", 7)
+    tree, cost = optimal_tree(inst)
     assert cost == 7
 
 

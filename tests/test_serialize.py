@@ -78,6 +78,50 @@ def test_parse_rejects_bad_version_and_kind():
         loads_instance(json.dumps(doc))
 
 
+def _one_item_doc(utility):
+    """A valid 1-item document in which each integer field under test
+    holds 1, the value `true` would compare equal to."""
+    return {
+        "version": 1,
+        "n": 1,
+        "states": ["0", "1"],
+        "sample": [{"assignment": ["1"], "weight": 1}],
+        "costs": ["1"],
+        "utility": utility,
+    }
+
+
+K_OF_N = {"kind": "k_of_n", "k": 1}
+COVERAGE = {"kind": "coverage", "universe_size": 1,
+            "covers": {"1": {"0": [0], "1": [0]}}}
+WIDE_COVERAGE = {"kind": "coverage", "universe_size": 2,
+                 "covers": {"1": {"0": [0, 1], "1": [0, 1]}}}
+TABLE = {"kind": "table", "goal": 1, "values": {"*": 0, "0": 1, "1": 1}}
+
+
+@pytest.mark.parametrize("utility, path", [
+    (K_OF_N, ("version",)),
+    (K_OF_N, ("n",)),
+    (K_OF_N, ("sample", 0, "weight")),
+    (K_OF_N, ("utility", "k")),
+    (COVERAGE, ("utility", "universe_size")),
+    (WIDE_COVERAGE, ("utility", "covers", "1", "1", 1)),
+    (TABLE, ("utility", "goal")),
+    (TABLE, ("utility", "values", "1")),
+], ids=["version", "n", "weight", "k", "universe_size", "covered_element",
+        "table_goal", "table_value"])
+def test_parse_rejects_booleans_for_integers(utility, path):
+    doc = _one_item_doc(json.loads(json.dumps(utility)))
+    loads_instance(json.dumps(doc))  # the field holds 1: the document loads
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    assert field[path[-1]] == 1
+    field[path[-1]] = True
+    with pytest.raises(ParseError):
+        loads_instance(json.dumps(doc))
+
+
 def test_parse_rejects_invalid_json_with_location():
     with pytest.raises(ParseError, match="line"):
         loads_instance("{not json")

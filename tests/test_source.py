@@ -212,3 +212,49 @@ def test_exhaustive_passes_read_tables():
     assert EXHAUSTIVE_PASSES <= {node.name for node in ast.parse(source).body
                                  if isinstance(node, ast.FunctionDef)}
     assert memo_reads(source) == set()
+
+
+#: Float functions of `math`: the library's arithmetic is exact (ints and
+#: `Fraction`s), and ALPHA is a pinned literal rather than a float root.
+FLOAT_MATH = {"exp", "expm1", "log", "log1p", "log2", "log10", "sqrt"}
+
+
+def float_math_calls(source: str) -> set[str]:
+    """The FLOAT_MATH functions a module calls, as `math.f` (under any
+    alias of the module) or as a name imported from `math`."""
+    tree = ast.parse(source)
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            functions.update((alias.asname or alias.name, alias.name)
+                             for alias in node.names)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            found.add(func.attr)
+        elif isinstance(func, ast.Name) and func.id in functions:
+            found.add(functions[func.id])
+    return found & FLOAT_MATH
+
+
+def test_float_math_calls_detected():
+    source = ("import math\n"
+              "import math as m\n"
+              "from math import log2 as lg, floor\n"
+              "def f(x):\n"
+              "    return math.exp(x) + m.sqrt(x) + lg(x) + floor(x)"
+              " + math.ceil(x)\n")
+    assert float_math_calls(source) == {"exp", "sqrt", "log2"}
+
+
+def test_no_float_math():
+    calls = {p.name: float_math_calls(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in calls.items() if found} == {}
