@@ -214,7 +214,7 @@ def test_gen_rejects_empty_sample(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--n", 0), ("--universe-size", -2)])
 def test_gen_rejects_sizes_below_one(tmp_path, capsys, flag, value):
-    # a flag given twice keeps its last value
+    # argparse keeps the last value of a repeated flag, so `--n 0` wins
     assert run(["gen", "--seed", 1, "--family", "coverage",
                 "--out", tmp_path / "z.json", "--n", 3, flag, value]) == 2
     err = capsys.readouterr().err
