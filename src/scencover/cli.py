@@ -1,7 +1,7 @@
 """Command-line front end: solve, check, gen, and bench subcommands.
 
 Exit codes: 0 success, 1 failed check or violated bound, 2 usage or parse
-error, 3 refused because an instance exceeds a brute-force budget.
+error or an instance no solver can finish, 3 refused by a brute-force budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .core import (
     tree_size,
     validate_tree,
 )
-from .generate import random_instance
+from .generate import FAMILIES, random_instance
 from .mixedgreedy import (
     materialize,
     mixed_greedy,
@@ -54,7 +54,6 @@ EXIT_REFUSED = 3
 
 ALGORITHMS = ("mixed", "scenario-mixed", "scenario-adaptive", "optimal")
 PROPERTIES = ("monotone", "submodular", "adaptive-submodular", "rho", "goal")
-FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
 
 def _fraction_fields(value: Fraction) -> dict:
@@ -233,11 +232,16 @@ def _bench_row(path, algorithms):
 
 def cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    directory = pathlib.Path(args.directory)
+    if not algorithms or not directory.is_dir():
+        print("bench needs a directory and an algorithm, got %r and %r"
+              % (args.directory, args.algorithms), file=sys.stderr)
+        return EXIT_USAGE
     for a in algorithms:
         if a not in ALGORITHMS or a == "optimal":
             print("unknown bench algorithm %r" % a, file=sys.stderr)
             return EXIT_USAGE
-    paths = sorted(pathlib.Path(args.directory).glob("*.json"))
+    paths = sorted(directory.glob("*.json"))
     rows = []
     ok = True
     for path in paths:
@@ -305,6 +309,9 @@ def main(argv=None) -> int:
     except OracleBudgetError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_REFUSED
+    except PreconditionError as exc:
+        print("cannot finish: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

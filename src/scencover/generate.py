@@ -13,13 +13,10 @@ from .core import (
     StateAlphabet,
     WeightedSample,
 )
-from .utility import (
-    CoverageUtility,
-    KOfNUtility,
-    OrUtility,
-    scenario_count_utility,
-    scenario_weight_utility,
-)
+from .serialize import build_utility
+
+#: The utility families `random_instance` draws, by descriptor kind.
+FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
 #: Cost pool: small exact rationals including non-integers.
 COST_POOL = (
@@ -60,14 +57,12 @@ def random_sample(rng: random.Random, alphabet: StateAlphabet, n: int,
     )
 
 
-def random_coverage_utility(rng: random.Random, n: int, alphabet: StateAlphabet,
-                            universe_size: int = 4):
-    """Coverage utility valid on every realization: each universe element
-    gets an anchor item covering it in all states, plus random extra covers.
-
-    Returns (utility, descriptor) where the descriptor is the serializable
-    1-based form used by the instance file format.
-    """
+def random_coverage_descriptor(rng: random.Random, n: int,
+                               alphabet: StateAlphabet, universe_size: int = 4):
+    """Descriptor of a coverage utility valid on every realization: each
+    universe element gets an anchor item covering it in all states, plus
+    random extra covers.  The descriptor is the serializable 1-based form
+    used by the instance file format (`serialize.build_utility`)."""
     covers = {(i, s): set() for i in range(n) for s in alphabet}
     for u in range(universe_size):
         anchor = rng.randrange(n)
@@ -78,8 +73,7 @@ def random_coverage_utility(rng: random.Random, n: int, alphabet: StateAlphabet,
             for u in range(universe_size):
                 if rng.random() < EXTRA_DENSITY:
                     covers[(i, s)].add(u)
-    utility = CoverageUtility(covers, universe_size, n, alphabet)
-    descriptor = {
+    return {
         "kind": "coverage",
         "universe_size": universe_size,
         "covers": {
@@ -87,17 +81,17 @@ def random_coverage_utility(rng: random.Random, n: int, alphabet: StateAlphabet,
             for i in range(n)
         },
     }
-    return utility, descriptor
 
 
 def random_instance(rng: random.Random, n: int = 4, num_states: int = 2,
                     sample_size: int = 4, family: str = "coverage",
                     universe_size: int = 4):
-    """A full random instance of the requested utility family.
+    """A full random instance of the requested utility family, one of
+    FAMILIES, built from its drawn descriptor by `build_utility`.
 
     Returns (instance, descriptor).  Families "g_S" and "g_W" wrap a random
     coverage utility with the respective elimination combination over the
-    generated sample.
+    generated sample; k_of_n needs two states.
     """
     if n < 1 or universe_size < 1:
         raise PreconditionError("n and universe_size must be at least 1, got "
@@ -106,28 +100,21 @@ def random_instance(rng: random.Random, n: int = 4, num_states: int = 2,
     sample = random_sample(rng, alphabet, n, sample_size)
     costs = random_costs(rng, n)
 
+    def coverage():
+        return random_coverage_descriptor(rng, n, alphabet, universe_size)
+
     if family == "coverage":
-        utility, descriptor = random_coverage_utility(
-            rng, n, alphabet, universe_size
-        )
+        descriptor = coverage()
     elif family == "k_of_n":
-        if num_states != 2:
-            raise PreconditionError("k_of_n requires the binary alphabet")
-        k = rng.randint(1, n)
-        utility, descriptor = KOfNUtility(n, k), {"kind": "k_of_n", "k": k}
+        descriptor = {"kind": "k_of_n", "k": rng.randint(1, n)}
     elif family == "or":
-        u1, d1 = random_coverage_utility(rng, n, alphabet, universe_size)
-        u2, d2 = random_coverage_utility(rng, n, alphabet, universe_size)
-        utility = OrUtility(u1, u2)
-        descriptor = {"kind": "or", "left": d1, "right": d2}
+        descriptor = {"kind": "or", "left": coverage(), "right": coverage()}
     elif family in ("g_S", "g_W"):
-        inner, inner_desc = random_coverage_utility(rng, n, alphabet, universe_size)
-        wrap = scenario_count_utility if family == "g_S" else scenario_weight_utility
-        utility = wrap(inner, sample)
-        descriptor = {"kind": family, "inner": inner_desc}
+        descriptor = {"kind": family, "inner": coverage()}
     else:
         raise PreconditionError("unknown utility family %r" % family)
 
+    utility = build_utility(descriptor, n, alphabet, sample)
     return ScenarioInstance(utility, sample, costs, alphabet), descriptor
 
 

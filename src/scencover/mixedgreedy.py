@@ -277,20 +277,28 @@ def scenario_mixed_greedy_tree(instance: ScenarioInstance, traces=None):
 
 class InducedUtility(UtilityFunction):
     """The original utility read through a fixed partial realization: free
-    items are renumbered 0..n'-1, fixed items keep their observed states."""
+    items are renumbered 0..n'-1, fixed items keep their observed states.
+    The state is the original utility's partial realization."""
 
     def __init__(self, g: UtilityFunction, b):
         self.base_utility = g
         self.fixed = b
         self.item_map = free_items(b)  # new index -> original index
         super().__init__(len(self.item_map), g.goal, g.alphabet)
+        self.level = g.value
 
-    def _evaluate(self, d):
+    def root(self):
+        return self.fixed
+
+    def step(self, state, j, s):
+        return extend(state, self.item_map[j], s)
+
+    def state_of(self, d):
         merged = list(self.fixed)
         for j, s in enumerate(d):
             if s != UNKNOWN:
                 merged[self.item_map[j]] = s
-        return self.base_utility.value(tuple(merged))
+        return tuple(merged)
 
 
 def induced_instance(instance: ScenarioInstance, b) -> ScenarioInstance:

@@ -81,13 +81,17 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
                 raise ParseError("bad item key %r in covers" % item_key)
             if not 0 <= item < n:
                 raise ParseError("item %s out of range 1..%d" % (item_key, n))
+            if not isinstance(per_state, dict):
+                raise ParseError("covers of item %s must be an object"
+                                 % item_key)
             for s, elements in per_state.items():
                 if s not in alphabet.states:
                     raise ParseError("undeclared state %r in covers" % s)
-                if any(type(u) is not int or not 0 <= u < size
-                       for u in elements):
-                    raise ParseError("covered elements must lie in 0..%d"
-                                     % (size - 1))
+                if not isinstance(elements, list) or any(
+                        type(u) is not int or not 0 <= u < size
+                        for u in elements):
+                    raise ParseError("covered elements must be a list of "
+                                     "integers in 0..%d" % (size - 1))
                 covers[(item, s)] = frozenset(elements)
         return CoverageUtility(covers, size, n, alphabet)
     if kind == "or":
@@ -112,6 +116,10 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
             if type(v) is not int or v < 0:
                 raise ParseError("table values must be nonnegative integers")
             table[b] = v
+        space = (len(alphabet) + 1) ** n  # every pass reads all of them
+        if len(table) != space:
+            raise ParseError("table lists %d of the %d partial realizations"
+                             % (len(table), space))
         return TableUtility(table, goal, n, alphabet)
     if kind in ("g_S", "g_W"):
         inner = build_utility(descriptor.get("inner"), n, alphabet, sample)

@@ -6,15 +6,15 @@ realization.  Concrete families are closed-form; only `TableUtility` stores a
 raw table (used to build counterexamples).  Evaluations are memoized per
 instance, keyed by the partial realization.
 
-Every utility also has states, for callers that extend a partial
-realization one item at a time: `root()` is the state of the empty partial,
-`step(state, i, s)` that of the partial with item i observed in state s
-added, `level(state)` its utility and `state_of(b)` the state of b, so
-folding `step` over b's observations in any order reaches `state_of(b)`,
-and `level(state_of(b)) == value(b)`.  Coverage, k-of-n, count and weight
-elimination and OR carry a small native state (a bitmask, two counts, a row
-mask, a pair); the default state, kept by `TableUtility` and the induced
-utility, is b itself, read through `value`.  The exhaustive passes over
+Every utility is read through its states: `root()` is the state of the
+empty partial realization, `step(state, i, s)` that of the partial with
+item i observed in state s added, `level(state)` its utility and
+`state_of(b)` the state of b, so folding `step` over b's observations in
+any order reaches `state_of(b)`, and `value(b)` is `level(state_of(b))`
+for every utility, memoized by the base class's one `_evaluate`.
+Coverage, k-of-n, count and weight elimination and OR carry a small state
+(a bitmask, two counts, a row mask, a pair); a table's state, and the
+induced utility's, is a partial realization.  The exhaustive passes over
 all partial realizations (the property checkers and `min_progress_ratio`)
 fold the states into one table of levels (`partial_table`) and leave the
 memo alone.
@@ -39,10 +39,9 @@ from .core import (
 
 
 class UtilityFunction:
-    """Base class.  A subclass either gives its states, overriding `root`,
-    `step`, `level` and `state_of` together, and its value is then the one
-    formula `level(state_of(b))`; or keeps the default state (b itself)
-    and overrides `_evaluate(b) -> int`."""
+    """Base class.  A subclass gives its states, overriding `root`, `step`,
+    `level` and `state_of` together; its value is the one formula
+    `level(state_of(b))`."""
 
     def __init__(self, n: int, goal: int, alphabet: StateAlphabet):
         self.n = n
@@ -60,22 +59,6 @@ class UtilityFunction:
     def _evaluate(self, b) -> int:
         """The value of b on a memo miss."""
         return self.level(self.state_of(b))
-
-    def root(self):
-        """State of the empty partial realization."""
-        return empty_partial(self.n)
-
-    def step(self, state, i: int, s: str):
-        """State after observing item i (free in the state) in state s."""
-        return extend(state, i, s)
-
-    def level(self, state) -> int:
-        """Utility of a state."""
-        return self.value(state)
-
-    def state_of(self, b):
-        """State of the partial realization b."""
-        return b
 
     def verify_goal_on_full(self) -> bool:
         """Check value(a) == goal on every full realization; refused (by
@@ -266,14 +249,20 @@ class CoverageUtility(UtilityFunction):
 
 
 class TableUtility(UtilityFunction):
-    """Utility stored as a raw table; for counterexample construction only."""
+    """Utility stored as a raw table over the partial realizations, which
+    are its states; for counterexample construction only."""
 
     def __init__(self, table: dict, goal: int, n: int, alphabet: StateAlphabet):
         super().__init__(n, goal, alphabet)
         self.table = dict(table)
+        self.step = extend
+        self.level = self.table.__getitem__
 
-    def _evaluate(self, b):
-        return self.table[b]
+    def root(self):
+        return empty_partial(self.n)
+
+    def state_of(self, b):
+        return b
 
 
 @dataclass(frozen=True)

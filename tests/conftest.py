@@ -26,7 +26,7 @@ from scencover.core import (
     free_items,
     set_items,
 )
-from scencover.generate import random_instance, random_set_function
+from scencover.generate import FAMILIES, random_instance, random_set_function
 from scencover.minsum import JobFunction, full_cost_schedule
 from scencover.mixedgreedy import (
     InvocationTrace,
@@ -43,8 +43,6 @@ from scencover.utility import (
     marginal,
     worst_state,
 )
-
-FAMILIES = ("coverage", "k_of_n", "or", "g_S", "g_W")
 
 
 def seeded_instance(seed, max_n=5, max_states=3, max_rows=8,

@@ -116,6 +116,42 @@ def test_solve_malformed_row_exits_2(tmp_path, capsys):
     assert "sample row 1" in capsys.readouterr().err
 
 
+def off_sample_goal_doc():
+    """A table reaching its goal on every sample row but not on ("1", "1"),
+    which no solver can finish."""
+    values = {"*,*": 1, "*,0": 1, "*,1": 1, "0,*": 0, "1,*": 1,
+              "0,0": 2, "0,1": 2, "1,0": 2, "1,1": 1}
+    return {
+        "version": 1,
+        "n": 2,
+        "states": ["0", "1"],
+        "sample": [{"assignment": list(a), "weight": 1}
+                   for a in (("0", "0"), ("0", "1"), ("1", "0"))],
+        "costs": ["1", "1"],
+        "utility": {"kind": "table", "goal": 2, "values": values},
+    }
+
+
+@pytest.mark.parametrize("algorithm, message", [
+    ("mixed", "no budget up to the total cost suffices"),
+    ("scenario-adaptive", "goal unreachable: no items left"),
+])
+def test_solve_goal_missed_off_sample_exits_2(tmp_path, capsys, algorithm,
+                                               message):
+    infile = write_doc(tmp_path / "off.json", off_sample_goal_doc())
+    assert run(["solve", "--algorithm", algorithm, "--in", infile,
+                "--out", tmp_path / "o.json"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_goal_missed_off_sample_exits_2(tmp_path):
+    d = tmp_path / "off"
+    d.mkdir()
+    write_doc(d / "off.json", off_sample_goal_doc())
+    assert run(["bench", "--dir", d, "--algorithms", "scenario-mixed",
+                "--out", tmp_path / "b.json"]) == 2
+
+
 def test_solve_oracle_refusal_exits_3(tmp_path):
     infile = tmp_path / "big.json"
     assert run(["gen", "--seed", 5, "--n", 7, "--family", "coverage",
@@ -313,6 +349,21 @@ def test_bench_empty_directory(tmp_path):
     d.mkdir()
     assert run(["bench", "--dir", d, "--algorithms", "mixed",
                 "--out", tmp_path / "b.json"]) == 0
+
+
+@pytest.mark.parametrize("missing, algorithms", [
+    (True, "mixed"), (False, ""), (False, " , "),
+], ids=["missing_directory", "no_algorithm", "blank_algorithms"])
+def test_bench_without_directory_or_algorithms_exits_2(tmp_path, capsys,
+                                                        missing, algorithms):
+    d = tmp_path / "instances"
+    if not missing:
+        d.mkdir()
+    out = tmp_path / "b.json"
+    assert run(["bench", "--dir", d, "--algorithms", algorithms,
+                "--out", out]) == 2
+    assert "bounds ok" not in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_bench_oracle_skipped_row(tmp_path):

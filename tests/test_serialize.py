@@ -139,6 +139,35 @@ def test_table_kind():
     assert inst.utility.value(("*", "*")) == 0
 
 
+@pytest.mark.parametrize("covers, message", [
+    ({"1": [0]}, "must be an object"),
+    ({"1": {"0": 5}}, "must be a list"),
+], ids=["item_not_object", "elements_not_list"])
+def test_parse_rejects_malformed_covers(covers, message):
+    doc = _base_doc()
+    doc["utility"] = {"kind": "coverage", "universe_size": 1, "covers": covers}
+    with pytest.raises(ParseError, match=message):
+        loads_instance(json.dumps(doc))
+
+
+def test_parse_rejects_table_missing_partials():
+    doc = _base_doc()
+    doc["utility"] = {"kind": "table", "goal": 2, "values": {"0,1": 2}}
+    with pytest.raises(ParseError, match="lists 1 of the 9 partial"):
+        loads_instance(json.dumps(doc))
+
+
+def test_table_missing_its_goal_loads():
+    # a counterexample table need not reach its goal on every full
+    # realization, only on the sample's: `check --property goal` reports it
+    doc = _base_doc()
+    values = {",".join(b): 0 for b in enumerate_partials_strs()}
+    values["1,1"] = 1  # the sample row
+    doc["utility"] = {"kind": "table", "goal": 1, "values": values}
+    inst, _ = loads_instance(json.dumps(doc))
+    assert not inst.utility.verify_goal_on_full()
+
+
 def enumerate_partials_strs():
     import itertools
 

@@ -162,17 +162,66 @@ def test_method_owners_detected():
               "class B(A):\n    def level(self, s):\n"
               "        def _evaluate():\n            pass\n")
     assert method_owners("_evaluate", source) == {"A"}
+    assert method_owners("level", source) == {"B"}
+
+
+#: The state API every utility gives.
+STATE_METHODS = ("root", "step", "level", "state_of")
 
 
 def test_one_value_formula():
-    """A utility with states is valued by the base class's one formula,
-    level(state_of(b)); only the default-state utilities have their own."""
-    owners = {(p.stem, cls) for p in PACKAGE.glob("*.py")
-              for cls in method_owners("_evaluate",
-                                       p.read_text(encoding="utf-8"))}
-    assert owners == {("utility", "UtilityFunction"),
-                      ("utility", "TableUtility"),
-                      ("mixedgreedy", "InducedUtility")}
+    """Every utility is valued by the base class's one formula,
+    level(state_of(b)), and the base class keeps no default state: each
+    utility gives its own."""
+    source = {p.stem: p.read_text(encoding="utf-8")
+              for p in PACKAGE.glob("*.py")}
+    owners = {(stem, cls) for stem, text in source.items()
+              for cls in method_owners("_evaluate", text)}
+    assert owners == {("utility", "UtilityFunction")}
+    base_states = {name for name in STATE_METHODS
+                   if "UtilityFunction" in method_owners(name, source["utility"])}
+    assert base_states == set()
+
+
+#: The utility constructors, which the generator leaves to the parser.
+UTILITY_BUILDERS = ("CoverageUtility", "KOfNUtility", "OrUtility",
+                    "TableUtility", "scenario_count_utility",
+                    "scenario_weight_utility")
+
+
+def test_one_utility_builder():
+    """The generator draws descriptors and builds every utility through
+    `serialize.build_utility`, importing no utility module."""
+    source = (PACKAGE / "generate.py").read_text(encoding="utf-8")
+    called = {name for name in UTILITY_BUILDERS if callers_of(name, source)}
+    assert called == set()
+    assert callers_of("build_utility", source) == {"random_instance"}
+    assert sibling_imports(source) == {"core", "serialize"}
+
+
+def module_names(source: str) -> set[str]:
+    """Names a module binds at its top level by assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_module_names_detected():
+    source = ("A = 1\nB, (C, D) = 2, (3, 4)\nE: int = 5\n"
+              "def f():\n    F = 6\nclass G:\n    H = 7\n")
+    assert module_names(source) == {"A", "B", "C", "D", "E"}
+
+
+def test_one_family_list():
+    """`generate.FAMILIES` is the one list of generated families."""
+    owners = {p.stem for p in PACKAGE.glob("*.py")
+              if "FAMILIES" in module_names(p.read_text(encoding="utf-8"))}
+    assert owners == {"generate"}
 
 
 #: The exhaustive passes over partial realizations, which read level and

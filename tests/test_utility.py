@@ -23,10 +23,11 @@ from scencover.core import (
 )
 from scencover.generate import (
     default_alphabet,
-    random_coverage_utility,
+    random_coverage_descriptor,
     random_sample,
 )
 from scencover.mixedgreedy import InducedUtility
+from scencover.serialize import build_utility
 from scencover.utility import (
     BINARY,
     CountEliminationUtility,
@@ -62,6 +63,12 @@ U = UNKNOWN
 SAMPLE = WeightedSample(
     ((("0", "0"), 1), (("0", "1"), 2), (("1", "1"), 3))
 )
+
+
+def random_coverage(rng, n, alphabet, universe_size=4):
+    """A random coverage utility, built from its drawn descriptor."""
+    descriptor = random_coverage_descriptor(rng, n, alphabet, universe_size)
+    return build_utility(descriptor, n, alphabet, None)
 
 
 def constant_utility(n, value=1):
@@ -224,7 +231,7 @@ def near_coverage_case(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     alphabet = StateAlphabet(("a", "b", "c")[:rng.randint(2, 3)])
-    g, _ = random_coverage_utility(rng, n, alphabet, rng.randint(1, 4))
+    g = random_coverage(rng, n, alphabet, rng.randint(1, 4))
     table = {b: g.value(b) for b in enumerate_partials(alphabet, n)}
     for b in rng.sample(sorted(table), rng.randint(0, 2)):
         table[b] = rng.randint(0, g.goal)
@@ -293,7 +300,7 @@ def test_check_submodular_value_calls_bounded():
     # one level per partial realization and one step per partial
     # realization but the empty one, and no read of the value memo
     s, n = 2, 6
-    g, _ = random_coverage_utility(random.Random(6), n, BINARY)
+    g = random_coverage(random.Random(6), n, BINARY)
     calls = Counter()
 
     def count(name):
@@ -417,12 +424,12 @@ STATE_FAMILIES = ("coverage", "k_of_n", "table", "induced", "or", "g_S", "g_W",
 
 
 def family_utility(family, rng, n, alphabet):
-    """One utility of the family over n items; "nested" puts default-state
-    utilities (table, induced) inside native ORs and eliminations."""
+    """One utility of the family over n items; "nested" puts the utilities
+    whose state is a partial realization (table, induced) inside ORs and
+    eliminations."""
 
     def coverage(items=n):
-        return random_coverage_utility(rng, items, alphabet,
-                                       rng.randint(1, 5))[0]
+        return random_coverage(rng, items, alphabet, rng.randint(1, 5))
 
     def induced():
         fixed = list(empty_partial(n + 2))
