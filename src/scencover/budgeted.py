@@ -17,7 +17,6 @@ frozensets is read through `incremental`, whose state is the set itself.
 from __future__ import annotations
 
 import bisect
-import math
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -157,11 +156,12 @@ def wolsey_greedy(items: Iterable[int], f, costs: CostVector,
 
     Costs are compared in integer units: for an integer s of units,
     s <= budget*L and s > budget*L hold exactly when they hold against
-    floor(budget*L), with L = `costs.scale`.
+    floor(budget*L), with L = `costs.scale`, taken in integers from the
+    numerator and denominator of `budget` (a `Fraction` or an int).
     """
     f = incremental(f)
     units = costs.units
-    cap = math.floor(Fraction(budget) * costs.scale)
+    cap = budget.numerator * costs.scale // budget.denominator
     eligible = tuple(sorted(i for i in items if units[i] <= cap))
     if not eligible:
         return frozenset()
@@ -229,24 +229,26 @@ def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
     returned budget is feasible, and the candidate just below it (if any)
     is not.  Candidates stay in integer units during the search, each probe
     runs `wolsey_greedy` at the budget `Fraction(k, costs.scale)`, and that
-    `Fraction` is returned.  The probes share one dict of greedy orders, so
-    probes with the same eligible set extend one order instead of redoing
-    its picks; the dict changes no probe's result.  `f` is an
-    `IncrementalFunction` or a plain `SetFunction`; a probe's set is valued
-    from `f.known`, where `wolsey_greedy` left its value.
+    `Fraction` is returned.  A probe's value v is feasible when
+    v·den(ALPHA) >= num(ALPHA)·f(all items), in integers for an integer f.
+    The probes share one dict of greedy orders, so probes with the same
+    eligible set extend one order instead of redoing its picks; the dict
+    changes no probe's result.  `f` is an `IncrementalFunction` or a plain
+    `SetFunction`; a probe's set is valued from `f.known`, where
+    `wolsey_greedy` left its value.
     """
     f = incremental(f)
     items = sorted(items)
     full_value = f(frozenset(items))
     if full_value <= 0:
         raise PreconditionError("set function must be positive on all items")
-    target_num = ALPHA * full_value
+    target, den = ALPHA.numerator * full_value, ALPHA.denominator
     scale = costs.scale
     orders: dict = {}
 
     def feasible(k):
         budget = Fraction(k, scale)
-        return f(wolsey_greedy(items, f, costs, budget, orders)) >= target_num
+        return f(wolsey_greedy(items, f, costs, budget, orders)) * den >= target
 
     candidates = budget_candidates(items, costs)
     if not feasible(candidates[-1]):

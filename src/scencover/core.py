@@ -11,8 +11,8 @@ All arithmetic is exact: weights are positive integers, costs are positive
 A `CostVector` also carries its costs as integers in a common unit, which
 the greedy layer compares and `follow`, `expected_cost` and the oracle sum
 instead of the `Fraction`s.
-Everything in this module is immutable after construction and all operations
-are pure functions of their inputs.
+Everything in this module but the policies' memos is immutable after
+construction, and all operations are pure functions of their inputs.
 
 Item indices are 0-based throughout the library; the file format used by the
 CLI is 1-based (see `scencover.serialize`).
@@ -372,21 +372,30 @@ def materialize(strategy: Strategy, alphabet, n: int):
 class SuffixedStrategy(Strategy):
     """Run a base strategy, then query remaining items in ascending index
     order until the wrapped utility (a `UtilityFunction`) reaches its goal.
-    The only index-order completion of unfinished paths."""
+    The only index-order completion of unfinished paths.  Contract: where
+    the base returns None at b and the suffix goes on, it returns None on
+    every extension of b, so the base is not asked below a suffix item
+    (whose children wait in `finished` until read)."""
 
     def __init__(self, base: Strategy, utility):
         self.base = base
         self.utility = utility
+        self.finished: set = set()
 
     def next_item(self, b):
-        i = self.base.next_item(b)
-        if i is not None:
-            return i
+        if b in self.finished:
+            self.finished.remove(b)
+        else:
+            i = self.base.next_item(b)
+            if i is not None:
+                return i
         if self.utility.value(b) < self.utility.goal:
             frees = free_items(b)
             if not frees:
                 raise PreconditionError("goal unreachable: no items left")
-            return frees[0]
+            i = frees[0]
+            self.finished.update(extend(b, i, s) for s in self.utility.alphabet)
+            return i
         return None
 
 

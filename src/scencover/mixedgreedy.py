@@ -14,7 +14,6 @@ to their policies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,14 +138,18 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     anchored_gain = IncrementalFunction(
         g.state_of(b), lambda st, i: step(st, i, sigma[i]),
         lambda st: level(st) - gb)
+    full_gain = anchored_gain(frozenset(frees))  # find_budget reads it again
+    if full_gain <= 0:
+        raise PreconditionError("worst-case realization %r has utility %d < goal %d"
+                                % (anchored(b, frees, sigma), gb + full_gain, g.goal))
 
     budget = find_budget(frees, anchored_gain, costs)
     # the budget in integer cost units: for an int s, s <= budget*L iff
     # s <= floor(budget*L), and s >= budget*L iff s >= ceil(budget*L); grid
     # budgets (above 20 items) need not be whole units
     units = costs.units
-    fits = math.floor(budget * costs.scale)
-    spends = math.ceil(budget * costs.scale)
+    num, den = budget.numerator * costs.scale, budget.denominator
+    fits, spends = num // den, -(-num // den)
     eligible = sorted(i for i in frees if units[i] <= fits)
 
     state = anchored_gain.root()  # g's state of b anchored on every pick
@@ -202,21 +205,26 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
 
 
 class MixedGreedyStrategy(Strategy):
-    """The backbone policy: replays invocation plans from the root,
-    descending into a fresh invocation whenever an observed state leaves
-    the current backbone or the backbone ends.
+    """The backbone policy: replays invocation plans, descending into a
+    fresh invocation whenever an observed state leaves the current backbone
+    or the backbone ends.
 
     `plans` maps each invocation's entry to its InvocationTrace, in the
-    order first visited (the root first).
+    order first visited (the root first).  Answering b with item i at
+    position k of frame F's plan keeps (F, k) in `resume` for each child
+    b+(i, s) until it is read, and the child's replay starts there: from
+    the root it would reach (F, k) through the same frames, having read
+    only items set in b.  Any other b replays from the root.
     """
 
     def __init__(self, instance: ScenarioInstance):
         self.instance = instance
         self.plans: dict = {}
+        self.resume: dict = {}
 
     def next_item(self, b):
         g = self.instance.utility
-        frame = empty_partial(len(b))
+        frame, k = self.resume.pop(b, None) or (empty_partial(len(b)), 0)
         while True:
             # a planned frame is below the goal: invocation_plan refuses others
             trace = self.plans.get(frame)
@@ -224,14 +232,16 @@ class MixedGreedyStrategy(Strategy):
                 if g.value(frame) == g.goal:
                     return None
                 trace = self.plans[frame] = invocation_plan(self.instance, frame)
-            for k, i in enumerate(trace.plan):
+            for k, i in enumerate(trace.plan[k:], k):
                 if b[i] == UNKNOWN:
+                    for s in g.alphabet:
+                        self.resume[extend(b, i, s)] = frame, k
                     return i
                 if b[i] != trace.sigma[i]:
                     break
             # off the backbone at plan[k], or past its end (b agrees with
             # sigma there: trace.final); plans are never empty
-            frame = anchored(frame, trace.plan[:k + 1], b)
+            frame, k = anchored(frame, trace.plan[:k + 1], b), 0
 
 
 def mixed_greedy(instance: ScenarioInstance, traces: list | None = None):

@@ -116,11 +116,10 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
             if type(v) is not int or v < 0:
                 raise ParseError("table values must be nonnegative integers")
             table[b] = v
-        space = (len(alphabet) + 1) ** n  # every pass reads all of them
-        if len(table) != space:
-            raise ParseError("table lists %d of the %d partial realizations"
-                             % (len(table), space))
-        return TableUtility(table, goal, n, alphabet)
+        try:
+            return TableUtility(table, goal, n, alphabet)
+        except ScencoverError as exc:  # the table misses some partials
+            raise ParseError(str(exc))
     if kind in ("g_S", "g_W"):
         inner = build_utility(descriptor.get("inner"), n, alphabet, sample)
         wrap = scenario_count_utility if kind == "g_S" else scenario_weight_utility

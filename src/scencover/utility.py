@@ -250,11 +250,16 @@ class CoverageUtility(UtilityFunction):
 
 class TableUtility(UtilityFunction):
     """Utility stored as a raw table over the partial realizations, which
-    are its states; for counterexample construction only."""
+    are its states; for counterexample construction only.  The table must
+    list every partial realization: every exhaustive pass reads them all."""
 
     def __init__(self, table: dict, goal: int, n: int, alphabet: StateAlphabet):
         super().__init__(n, goal, alphabet)
         self.table = dict(table)
+        space = (len(alphabet) + 1) ** n
+        if len(self.table) != space:
+            raise PreconditionError("table lists %d of the %d partial realizations"
+                                    % (len(self.table), space))
         self.step = extend
         self.level = self.table.__getitem__
 

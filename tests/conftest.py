@@ -16,8 +16,12 @@ from scencover.core import (
     Leaf,
     Node,
     PreconditionError,
+    ScenarioInstance,
+    StateAlphabet,
+    Strategy,
     StructureError,
     ValidationReport,
+    WeightedSample,
     empty_partial,
     enumerate_partials,
     enumerate_realizations,
@@ -30,6 +34,8 @@ from scencover.generate import FAMILIES, random_instance, random_set_function
 from scencover.minsum import JobFunction, full_cost_schedule
 from scencover.mixedgreedy import (
     InvocationTrace,
+    MixedGreedyStrategy,
+    anchored,
     combined_count_instance,
     invocation_plan,
     weight_removal_function,
@@ -39,6 +45,7 @@ from scencover.oracle import optimal_budgeted
 from scencover.utility import (
     CheckReport,
     ProgressReport,
+    TableUtility,
     expected_marginal,
     marginal,
     worst_state,
@@ -69,6 +76,25 @@ def instance_stream(count, base_seed=0, **kwargs):
         seed = base_seed + k
         instance, descriptor = seeded_instance(seed, **kwargs)
         yield seed, instance, descriptor
+
+
+def seeded_table_instance(seed, max_n=4, max_states=3, max_rows=6):
+    """One deterministic instance on a random `TableUtility`: every full
+    realization at the goal, every other partial realization at a random
+    level in [0, goal], so the utility is rarely monotone."""
+    rng = random.Random(seed)
+    n = rng.randint(2, max_n)
+    alphabet = StateAlphabet(tuple("abc"[:rng.randint(2, max_states)]))
+    goal = rng.randint(1, 4)
+    table = {b: goal if UNKNOWN not in b else rng.randint(0, goal)
+             for b in enumerate_partials(alphabet, n)}
+    fulls = list(enumerate_realizations(alphabet, n))
+    rows = sorted(rng.sample(fulls, rng.randint(1, min(max_rows, len(fulls)))))
+    sample = WeightedSample(tuple((a, rng.randint(1, 3)) for a in rows))
+    costs = CostVector(tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                             for _ in range(n)))
+    return ScenarioInstance(TableUtility(table, goal, n, alphabet), sample,
+                            costs, alphabet)
 
 
 def seeded_budgeted(seed, max_items=12):
@@ -116,6 +142,51 @@ def reference_mixed_greedy(instance, b=None, traces=None):
     for (node, s_i), nxt in zip(chain, [c for c, _ in chain[1:]] + [tail]):
         node.children[s_i] = nxt
     return chain[0][0]
+
+
+class RootReplayStrategy(MixedGreedyStrategy):
+    """The backbone policy replaying every call from the root: the reference
+    that `MixedGreedyStrategy`, resuming where a parent's call stopped,
+    must answer like at every b."""
+
+    def next_item(self, b):
+        g = self.instance.utility
+        frame = empty_partial(len(b))
+        while True:
+            trace = self.plans.get(frame)
+            if trace is None:
+                if g.value(frame) == g.goal:
+                    return None
+                trace = self.plans[frame] = invocation_plan(self.instance, frame)
+            for k, i in enumerate(trace.plan):
+                if b[i] == UNKNOWN:
+                    return i
+                if b[i] != trace.sigma[i]:
+                    break
+            frame = anchored(frame, trace.plan[:k + 1], b)
+
+
+class AskingSuffixedStrategy(Strategy):
+    """`SuffixedStrategy` asking its base at every b, also below a suffix
+    item: the reference for the suffix that stops asking a finished base."""
+
+    def __init__(self, base, utility):
+        self.base, self.utility = base, utility
+
+    def next_item(self, b):
+        i = self.base.next_item(b)
+        if i is None and self.utility.value(b) < self.utility.goal:
+            frees = free_items(b)
+            if not frees:
+                raise PreconditionError("goal unreachable: no items left")
+            i = frees[0]
+        return i
+
+
+def reference_scenario_mixed_greedy(instance):
+    """The scenario-mixed policy from the two references above."""
+    return AskingSuffixedStrategy(
+        RootReplayStrategy(combined_count_instance(instance)), instance.utility)
 
 
 def reference_scenario_mixed_greedy_tree(instance, traces=None):

@@ -144,6 +144,21 @@ def test_solve_goal_missed_off_sample_exits_2(tmp_path, capsys, algorithm,
     assert message in capsys.readouterr().err
 
 
+def test_solve_mixed_names_the_worst_case_realization(tmp_path, capsys):
+    # anchoring both items at their worst states gains nothing at the root:
+    # ("1", "1") misses the goal, and the message names it, not the budget
+    # search's set function
+    doc = off_sample_goal_doc()
+    doc["utility"]["values"] = {"*,*": 1, "0,*": 1, "1,*": 0, "*,0": 2,
+                                "*,1": 0, "0,0": 2, "0,1": 2, "1,0": 2,
+                                "1,1": 0}
+    infile = write_doc(tmp_path / "worst.json", doc)
+    assert run(["solve", "--algorithm", "mixed", "--in", infile,
+                "--out", tmp_path / "o.json"]) == 2
+    assert ("worst-case realization ('1', '1') has utility 0 < goal 2"
+            in capsys.readouterr().err)
+
+
 def test_bench_goal_missed_off_sample_exits_2(tmp_path):
     d = tmp_path / "off"
     d.mkdir()

@@ -17,6 +17,7 @@ from scencover.core import (
     ScenarioInstance,
     StateAlphabet,
     StructureError,
+    SuffixedStrategy,
     WeightedSample,
     empty_partial,
     enumerate_partials,
@@ -28,14 +29,19 @@ from scencover.core import (
     set_items,
     validate_tree,
 )
+from scencover import oracle
+from scencover.adaptivegreedy import scenario_adaptive_greedy
 from scencover.cli import _solve_tree
+from scencover.mixedgreedy import scenario_mixed_greedy
 from scencover.utility import BINARY, CoverageUtility, KOfNUtility, TableUtility
 from conftest import (
+    instance_stream,
     is_extension,
     reference_expected_cost,
     reference_follow,
     reference_validate_tree,
     seeded_instance,
+    seeded_table_instance,
 )
 
 U = UNKNOWN
@@ -396,3 +402,38 @@ def test_extend_is_extension_property(n, data):
         b = extend(b, i, data.draw(st.sampled_from(["0", "1"])))
         assert is_extension(b, before)
         assert len(set_items(b)) == len(set_items(before)) + 1
+
+
+def test_suffix_bases_stay_finished(monkeypatch):
+    # SuffixedStrategy's contract, by enumeration: where a base returns None
+    # at b and the suffix goes on, the base returns None on every extension
+    oracle_bases = []
+
+    def keep_base(base, utility):
+        oracle_bases.append(base)
+        return SuffixedStrategy(base, utility)
+
+    monkeypatch.setattr(oracle, "SuffixedStrategy", keep_base)
+    cases = [inst for _, inst, _ in instance_stream(15, base_seed=9800, max_n=4)]
+    cases += [seeded_table_instance(seed, max_n=3) for seed in range(15)]
+    premises = 0
+    for inst in cases:
+        g = inst.utility
+        oracle.optimal_tree(inst)
+        bases = (scenario_mixed_greedy(inst).base,
+                 scenario_adaptive_greedy(inst).base, oracle_bases.pop())
+        partials = list(enumerate_partials(inst.alphabet, inst.n))
+        for base in bases:
+            answers = {}
+            for b in partials:
+                try:
+                    answers[b] = base.next_item(b)
+                except PreconditionError as exc:
+                    answers[b] = str(exc)
+            for b, i in answers.items():
+                if i is None and g.value(b) < g.goal:
+                    premises += 1
+                    for b2 in partials:
+                        if is_extension(b2, b):
+                            assert answers[b2] is None, (base, b, b2)
+    assert premises

@@ -15,6 +15,7 @@ from scencover.core import (
     Node,
     PreconditionError,
     ScenarioInstance,
+    Strategy,
     SuffixedStrategy,
     WeightedSample,
     empty_partial,
@@ -53,12 +54,15 @@ from scencover.oracle import optimal_tree
 from scencover.utility import BINARY, KOfNUtility, TableUtility, worst_state
 from conftest import (
     FAMILIES,
+    RootReplayStrategy,
     instance_stream,
     is_extension,
     reference_execute_online,
     reference_invocation_plan,
     reference_mixed_greedy,
+    reference_scenario_mixed_greedy,
     reference_scenario_mixed_greedy_tree,
+    seeded_table_instance,
 )
 
 U = UNKNOWN
@@ -269,6 +273,49 @@ def test_online_sessions_match_fraction_reference():
                     policy(inst), a.__getitem__, inst.costs), (seed, a)
                 sessions += 1
     assert sessions >= 3 * 30 * 4
+
+
+class AnswerCheck(Strategy):
+    """Asks a policy and its reference at every b, asserting the same item,
+    None or refusal; a refused b becomes a leaf, so the walk goes on."""
+
+    def __init__(self, policy, reference):
+        self.policy, self.reference = policy, reference
+        self.answers = []  # (b, answer) in the order asked
+
+    def next_item(self, b):
+        answers = []
+        for policy in (self.policy, self.reference):
+            try:
+                answers.append(policy.next_item(b))
+            except PreconditionError as exc:
+                answers.append(str(exc))
+        assert answers[0] == answers[1], b
+        self.answers.append((b, answers[0]))
+        return answers[0] if not isinstance(answers[0], str) else None
+
+
+def test_resumed_replay_answers_like_the_root_replay():
+    # at every node of the materialized trees, on generated instances and on
+    # non-monotone tables; the replay tests the goal on its frames, not on
+    # b, so it may go on past a b that meets the goal
+    cases = [inst for _, inst, _ in instance_stream(20, base_seed=9700)]
+    cases += [seeded_table_instance(seed) for seed in range(40)]
+    past_goal = refusals = 0
+    for inst in cases:
+        g = inst.utility
+        mixed, scenario = MixedGreedyStrategy(inst), scenario_mixed_greedy(inst)
+        for policy, reference in ((mixed, RootReplayStrategy(inst)),
+                                  (scenario, reference_scenario_mixed_greedy(inst))):
+            check = AnswerCheck(policy, reference)
+            materialize(check, inst.alphabet, inst.n)
+            refusals += sum(isinstance(i, str) for _, i in check.answers)
+            past_goal += sum(type(i) is int and g.value(b) == g.goal
+                             for b, i in check.answers)
+        # every record was read: none outlives the walk
+        assert not mixed.resume and not scenario.base.resume
+        assert not scenario.finished
+    assert past_goal and refusals
 
 
 def test_anchored_refuses_a_set_item():

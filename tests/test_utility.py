@@ -419,6 +419,14 @@ def test_goal_verification():
     assert not TableUtility(table, 1, 2, BINARY).verify_goal_on_full()
 
 
+def test_table_must_list_every_partial():
+    # a table built in code is checked as the parser checks a file's, not
+    # left to fail with a KeyError on the first missing partial it reads
+    with pytest.raises(PreconditionError,
+                       match="table lists 1 of the 9 partial realizations"):
+        TableUtility({("0", "1"): 2}, 2, 2, BINARY)
+
+
 STATE_FAMILIES = ("coverage", "k_of_n", "table", "induced", "or", "g_S", "g_W",
                   "nested")
 
