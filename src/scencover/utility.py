@@ -256,10 +256,11 @@ class TableUtility(UtilityFunction):
     def __init__(self, table: dict, goal: int, n: int, alphabet: StateAlphabet):
         super().__init__(n, goal, alphabet)
         self.table = dict(table)
-        space = (len(alphabet) + 1) ** n
-        if len(self.table) != space:
+        partials = set(enumerate_partials(alphabet, n))
+        listed = len(partials & self.table.keys())
+        if listed != len(partials):
             raise PreconditionError("table lists %d of the %d partial realizations"
-                                    % (len(self.table), space))
+                                    % (listed, len(partials)))
         self.step = extend
         self.level = self.table.__getitem__
 

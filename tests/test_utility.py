@@ -425,6 +425,13 @@ def test_table_must_list_every_partial():
     with pytest.raises(PreconditionError,
                        match="table lists 1 of the 9 partial realizations"):
         TableUtility({("0", "1"): 2}, 2, 2, BINARY)
+    # nine keys, one of them no partial realization
+    table = {b: 2 for b in itertools.product(("0", "1", U), repeat=2)}
+    del table[(U, U)]
+    table[("0", "2")] = 2
+    with pytest.raises(PreconditionError,
+                       match="table lists 8 of the 9 partial realizations"):
+        TableUtility(table, 2, 2, BINARY)
 
 
 STATE_FAMILIES = ("coverage", "k_of_n", "table", "induced", "or", "g_S", "g_W",
