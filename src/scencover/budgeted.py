@@ -17,7 +17,6 @@ frozensets is read through `incremental`, whose state is the set itself.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Sequence
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -181,32 +180,20 @@ def wolsey_greedy(items: Iterable[int], f, costs: CostVector,
     return r
 
 
+#: Candidate budgets count 2^-GRID_BITS of a cost unit.
 GRID_BITS = 20
 
 
-class Grid(Sequence):
-    """The points k*step for k in range(size), each made when indexed."""
-
-    def __init__(self, step: Fraction, size: int):
-        self.step, self.size = step, size
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, k):
-        return range(self.size)[k] * self.step
-
-
 def budget_candidates(items, costs: CostVector):
-    """Finite candidate budgets, in units of 1/`costs.scale` (candidate k
-    is the budget `Fraction(k, costs.scale)`): achieved greedy value is
-    piecewise constant in the budget, changing only at subset sums of the
-    item costs.
+    """Finite candidate budgets, sorted ints in units of 2^-GRID_BITS of a
+    cost unit (candidate k is the budget `Fraction(k, costs.scale <<
+    GRID_BITS)`): achieved greedy value is piecewise constant in the
+    budget, changing only at subset sums of the item costs.
 
     Up to 20 items the candidates are the subset sums of `costs.units`,
-    sorted ints.  For more than 20 items the subset-sum set is replaced by
-    a dyadic grid over [0, total units], refined to 2^-GRID_BITS of the
-    total; it is a `Grid`, whose points are made only when indexed.
+    summed in cost units and shifted once on return.  For more than 20
+    items the subset-sum set is replaced by the grid of 2^GRID_BITS equal
+    steps over [0, total units], a `range`.
     """
     items = list(items)
     units = costs.units
@@ -215,9 +202,9 @@ def budget_candidates(items, costs: CostVector):
         for i in items:
             c = units[i]
             sums |= {s + c for s in sums}
-        return sorted(sums)
+        return [s << GRID_BITS for s in sorted(sums)]
     total = sum(units[i] for i in items)
-    return Grid(Fraction(total, 1 << GRID_BITS), (1 << GRID_BITS) + 1)
+    return range(0, (total << GRID_BITS) + 1, total)
 
 
 def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
@@ -227,9 +214,9 @@ def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
     The greedy value need not be monotone in the budget, so this is not
     always the smallest such candidate.  What the bisection guarantees: the
     returned budget is feasible, and the candidate just below it (if any)
-    is not.  Candidates stay in integer units during the search, each probe
-    runs `wolsey_greedy` at the budget `Fraction(k, costs.scale)`, and that
-    `Fraction` is returned.  A probe's value v is feasible when
+    is not.  Candidates stay ints during the search, each probe runs
+    `wolsey_greedy` at the budget `Fraction(k, costs.scale << GRID_BITS)`,
+    and that `Fraction` is returned.  A probe's value v is feasible when
     v·den(ALPHA) >= num(ALPHA)·f(all items), in integers for an integer f.
     The probes share one dict of greedy orders, so probes with the same
     eligible set extend one order instead of redoing its picks; the dict
@@ -243,7 +230,7 @@ def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
     if full_value <= 0:
         raise PreconditionError("set function must be positive on all items")
     target, den = ALPHA.numerator * full_value, ALPHA.denominator
-    scale = costs.scale
+    scale = costs.scale << GRID_BITS
     orders: dict = {}
 
     def feasible(k):

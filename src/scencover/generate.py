@@ -138,16 +138,9 @@ class BitmaskCoverage:
         return v
 
 
-def random_set_function(rng: random.Random, n: int, kind: str = "coverage",
-                        universe_size: int = 8):
-    """A random monotone submodular set function with f(empty) = 0 and
-    f positive on the full ground set."""
-    if kind == "modular":
-        values = [rng.randint(1, 9) for _ in range(n)]
-        masks = [1 << i for i in range(n)]
-        return BitmaskCoverage(masks, values + [0] * max(0, n - len(values)))
-    if kind != "coverage":
-        raise PreconditionError("unknown set function kind %r" % kind)
+def random_set_function(rng: random.Random, n: int, universe_size: int = 8):
+    """A random coverage set function (monotone submodular) with
+    f(empty) = 0 and f positive on the full ground set."""
     weights = [rng.randint(1, 5) for _ in range(universe_size)]
     masks = []
     for _ in range(n):

@@ -68,13 +68,13 @@ def anchored(b, items, sigma):
     return tuple(cur)
 
 
-def worst_case_realization(g: UtilityFunction, b) -> dict:
-    """Anchor state (minimum gain, alphabet order on ties) per free item,
-    each gain one `step` from b's state."""
-    state = g.state_of(b)
+def worst_case_realization(g: UtilityFunction, state, frees) -> dict:
+    """Anchor state (minimum gain, alphabet order on ties) per item of
+    `frees`, the free items of some b, each gain one `step` from `state`,
+    b's state `g.state_of(b)`."""
     step, level = g.step, g.level
     return {i: min(g.alphabet.states, key=lambda s: level(step(state, i, s)))
-            for i in free_items(b)}
+            for i in frees}
 
 
 def weight_removal_function(instance: ScenarioInstance, b,
@@ -132,18 +132,24 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         raise PreconditionError(
             "no free items at %r but utility %d < goal %d" % (b, gb, g.goal)
         )
-    sigma = worst_case_realization(g, b)
+    state = g.state_of(b)  # then g's state of b anchored on every pick
+    sigma = worst_case_realization(g, state, frees)
     step, level = g.step, g.level
     # the utility gained by anchoring a set, read from b's state
     anchored_gain = IncrementalFunction(
-        g.state_of(b), lambda st, i: step(st, i, sigma[i]),
-        lambda st: level(st) - gb)
+        state, lambda st, i: step(st, i, sigma[i]), lambda st: level(st) - gb)
     full_gain = anchored_gain(frozenset(frees))  # find_budget reads it again
     if full_gain <= 0:
         raise PreconditionError("worst-case realization %r has utility %d < goal %d"
                                 % (anchored(b, frees, sigma), gb + full_gain, g.goal))
 
-    budget = find_budget(frees, anchored_gain, costs)
+    try:
+        budget = find_budget(frees, anchored_gain, costs)
+    except PreconditionError as exc:
+        # at the total budget the greedy picks every free item, and were the
+        # gain submodular, its last pick or the rest would reach half of it
+        raise PreconditionError("%s at %r: the gain of anchoring worst-case "
+                                "states is not submodular" % (exc, b)) from exc
     # the budget in integer cost units: for an int s, s <= budget*L iff
     # s <= floor(budget*L), and s >= budget*L iff s >= ceil(budget*L); grid
     # budgets (above 20 items) need not be whole units
@@ -151,8 +157,6 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     num, den = budget.numerator * costs.scale, budget.denominator
     fits, spends = num // den, -(-num // den)
     eligible = sorted(i for i in frees if units[i] <= fits)
-
-    state = anchored_gain.root()  # g's state of b anchored on every pick
 
     def stage(f, items):
         """Anchor the picks of f's greedy order over `items` until the

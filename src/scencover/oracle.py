@@ -120,17 +120,21 @@ MAX_SUBSET_ITEMS = 20
 def optimal_budgeted(items, f, costs, budget):
     """Exhaustive max of f over subsets of items with total cost <= budget;
     refused (`OracleBudgetError`) above MAX_SUBSET_ITEMS items, before any
-    call of f."""
+    call of f.  Costs are summed in integer units (`costs.units`) against
+    floor(budget·L), L = `costs.scale`, which no integer sum tells apart
+    from budget·L: the cap rule of `budgeted.wolsey_greedy`."""
     items = sorted(items)
     if len(items) > MAX_SUBSET_ITEMS:
         raise OracleBudgetError("%d items exceed the exhaustive subset budget "
                                 "of %d" % (len(items), MAX_SUBSET_ITEMS))
     budget = Fraction(budget)
+    cap = budget.numerator * costs.scale // budget.denominator
+    units = costs.units
     best_set = frozenset()
     best_value = f(frozenset())
     for r in range(1, len(items) + 1):
         for combo in itertools.combinations(items, r):
-            if sum((costs[i] for i in combo), Fraction(0)) > budget:
+            if sum(units[i] for i in combo) > cap:
                 continue
             value = f(frozenset(combo))
             if value > best_value:

@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from scencover.budgeted import ALPHA, Grid, best_ratio, wolsey_greedy
+from scencover.budgeted import ALPHA, best_ratio, wolsey_greedy
 from scencover.core import (
     UNKNOWN,
     CostVector,
@@ -378,16 +378,18 @@ def reference_wolsey_greedy(items, f, costs, budget):
 
 
 def reference_budget_candidates(items, costs):
-    """The candidate budgets as `Fraction`s: sorted subset sums up to 20
-    items, the grid total * k / 2^20 above."""
+    """The candidate budgets as `Fraction`s, in the form (indices, step):
+    candidate j is indices[j] * step.  Up to 20 items the indices are the
+    sorted `Fraction` subset sums and the step is 1; above, the indices are
+    range(2^20 + 1) and the step is total / 2^20."""
     items = list(items)
     if len(items) <= 20:
         sums = {Fraction(0)}
         for i in items:
             sums |= {s + costs[i] for s in sums}
-        return sorted(sums)
+        return sorted(sums), 1
     total = sum((costs[i] for i in items), Fraction(0))
-    return Grid(total / (1 << 20), (1 << 20) + 1)
+    return range((1 << 20) + 1), total / (1 << 20)
 
 
 def reference_find_budget(items, f, costs):
@@ -401,17 +403,17 @@ def reference_find_budget(items, f, costs):
     def feasible(budget):
         return f(reference_wolsey_greedy(items, f, costs, budget)) >= target_num
 
-    candidates = reference_budget_candidates(items, costs)
-    if not feasible(candidates[-1]):
+    indices, step = reference_budget_candidates(items, costs)
+    if not feasible(indices[-1] * step):
         raise PreconditionError("no budget up to the total cost suffices")
-    lo, hi = 0, len(candidates) - 1
+    lo, hi = 0, len(indices) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
+        if feasible(indices[mid] * step):
             hi = mid
         else:
             lo = mid + 1
-    return candidates[hi]
+    return indices[hi] * step
 
 
 def reference_invocation_plan(instance, b):
@@ -420,7 +422,7 @@ def reference_invocation_plan(instance, b):
     costs = instance.costs
     gb = g.value(b)
     frees = free_items(b)
-    sigma = worst_case_realization(g, b)
+    sigma = worst_case_realization(g, g.state_of(b), frees)
 
     def anchored_gain(u):
         cur = b

@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from scencover import budgeted
 from scencover.budgeted import (
     ALPHA,
+    GRID_BITS,
     GreedyOrder,
     IncrementalFunction,
     PreconditionError,
@@ -129,7 +130,7 @@ def test_find_budget_first_feasible_candidate():
     for seed in range(100):
         items, f, costs, _ = seeded_budgeted(seed, max_items=7)
         target = ALPHA * f(frozenset(items))
-        budgets = (Fraction(k, costs.scale)
+        budgets = (Fraction(k, costs.scale << GRID_BITS)
                    for k in budget_candidates(items, costs))
         first = next(c for c in budgets
                      if f(wolsey_greedy(items, f, costs, c)) >= target)
@@ -148,8 +149,8 @@ def test_budget_candidates_are_subset_sums():
     costs = CostVector((Fraction(1), Fraction(3, 2)))
     assert costs.scale == 2 and costs.units == (2, 3)
     candidates = budget_candidates([0, 1], costs)
-    assert candidates == [0, 2, 3, 5]
-    assert [Fraction(k, costs.scale) for k in candidates] == [
+    assert candidates == [0, 2 << GRID_BITS, 3 << GRID_BITS, 5 << GRID_BITS]
+    assert [Fraction(k, costs.scale << GRID_BITS) for k in candidates] == [
         Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5, 2)
     ]
 
@@ -165,11 +166,12 @@ def test_budget_candidates_match_fraction_subset_sums(drawn):
     costs = CostVector(tuple(drawn))
     items = list(range(len(costs)))
     candidates = budget_candidates(items, costs)
-    reference = reference_budget_candidates(items, costs)
+    reference, step = reference_budget_candidates(items, costs)
+    assert step == 1
     assert all(type(k) is int for k in candidates)
     assert len(candidates) == len(reference)
     for k, c in zip(candidates, reference):
-        assert Fraction(k, costs.scale) == c
+        assert Fraction(k, costs.scale << GRID_BITS) == c
 
 
 @st.composite
@@ -360,7 +362,7 @@ def test_find_budget_feasible_and_previous_candidate_is_not(problem):
         return f(wolsey_greedy(items, f, costs, budget)) >= target
 
     budget = find_budget(items, f, costs)
-    candidates = [Fraction(k, costs.scale)
+    candidates = [Fraction(k, costs.scale << GRID_BITS)
                   for k in budget_candidates(items, costs)]
     k = candidates.index(budget)
     assert feasible(budget)
@@ -371,10 +373,10 @@ def test_find_budget_is_not_always_the_smallest():
     costs, f = NON_MONOTONE
     items = list(range(len(costs)))
     target = ALPHA * f(frozenset(items))
-    feasible = [Fraction(k, costs.scale)
-                for k in budget_candidates(items, costs)
+    scale = costs.scale << GRID_BITS
+    feasible = [Fraction(k, scale) for k in budget_candidates(items, costs)
                 if f(wolsey_greedy(items, f, costs,
-                                   Fraction(k, costs.scale))) >= target]
+                                   Fraction(k, scale))) >= target]
     assert feasible[0] == 1
     assert find_budget(items, f, costs) == 2
 
@@ -385,20 +387,22 @@ def test_budget_grid_points(n):
     costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
     total = costs.total()
     grid = budget_candidates(range(n), costs)
-    reference = reference_budget_candidates(range(n), costs)
+    indices, step = reference_budget_candidates(range(n), costs)
+    scale = costs.scale << GRID_BITS
     size = (1 << 20) + 1
-    assert len(grid) == len(reference) == size
-    # iteration stops at the first IndexError, so check that one first;
-    # the grid is indexed at a few points, never iterated
+    assert len(grid) == len(indices) == size
+    # the bisection reads the grid by index, never by iteration, so check
+    # both ends of the index range
     for k in (size, -size - 1):
         with pytest.raises(IndexError):
             grid[k]
-    assert grid[-1] == grid[size - 1] == sum(costs.units)
+    assert grid[-1] == grid[size - 1] == sum(costs.units) << GRID_BITS
     assert grid[0] == grid[-size] == 0
     for k in (0, 1, 1 << 19, -1):
-        assert Fraction(grid[k], costs.scale) == reference[k]
-    assert Fraction(grid[1], costs.scale) == total / (1 << 20)
-    assert Fraction(grid[1 << 19], costs.scale) == total / 2
+        assert type(grid[k]) is int
+        assert Fraction(grid[k], scale) == indices[k] * step
+    assert Fraction(grid[1], scale) == total / (1 << 20)
+    assert Fraction(grid[1 << 19], scale) == total / 2
 
 
 def test_budget_grid_is_not_materialised():

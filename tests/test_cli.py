@@ -144,6 +144,16 @@ def test_solve_goal_missed_off_sample_exits_2(tmp_path, capsys, algorithm,
     assert message in capsys.readouterr().err
 
 
+def test_solve_mixed_names_the_failed_budget_search(tmp_path, capsys):
+    # at the total budget the greedy picks both free items; were the gain of
+    # anchoring them submodular, one of its two answers would be feasible
+    infile = write_doc(tmp_path / "off.json", off_sample_goal_doc())
+    assert run(["solve", "--algorithm", "mixed", "--in", infile,
+                "--out", tmp_path / "o.json"]) == 2
+    assert ("suffices at ('*', '*'): the gain of anchoring worst-case states "
+            "is not submodular" in capsys.readouterr().err)
+
+
 def test_solve_mixed_names_the_worst_case_realization(tmp_path, capsys):
     # anchoring both items at their worst states gains nothing at the root:
     # ("1", "1") misses the goal, and the message names it, not the budget
@@ -392,6 +402,44 @@ def test_bench_oracle_skipped_row(tmp_path):
     row = json.loads(out.read_text())["rows"][0]
     assert row["optimal"] == "oracle skipped"
     assert row["scenario-adaptive"]["pass"] is None
+
+
+def goal_everywhere_doc():
+    """A one-item table at its goal on every partial realization."""
+    return {
+        "version": 1,
+        "n": 1,
+        "states": ["0", "1"],
+        "sample": [{"assignment": ["1"], "weight": 1}],
+        "costs": ["1"],
+        "utility": {"kind": "table", "goal": 1,
+                    "values": {"*": 1, "0": 1, "1": 1}},
+    }
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["check", "--property", "goal", "--in", "{dir}/absent.json"], 2,
+     "file not found"),
+    (["bench", "--dir", "{dir}", "--algorithms", "mixed,optimal",
+      "--out", "{dir}/b.json"], 2, "unknown bench algorithm 'optimal'"),
+    (["check", "--property", "rho", "--in", "{dir}/goal.json"], 1,
+     "rho undefined"),
+], ids=["file_not_found", "bench_optimal", "rho_at_goal_everywhere"])
+def test_failures_exit_with_their_code(tmp_path, capsys, argv, code, message):
+    write_doc(tmp_path / "goal.json", goal_everywhere_doc())
+    assert run([a.format(dir=tmp_path) for a in argv]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_solve_at_goal_everywhere_writes_null_rho(tmp_path):
+    infile = write_doc(tmp_path / "goal.json", goal_everywhere_doc())
+    out = tmp_path / "report.json"
+    assert run(["solve", "--algorithm", "mixed", "--in", infile,
+                "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["rho"] is None and report["eta"] is None
+    assert report["ratio_ceiling"] is None
+    assert report["strategy"] == {"tree": {"leaf": True}}
 
 
 def test_usage_error_exits_2():

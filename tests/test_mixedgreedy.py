@@ -29,6 +29,7 @@ from scencover.core import (
 )
 from scencover.adaptivegreedy import scenario_adaptive_greedy
 from scencover.budgeted import (
+    GRID_BITS,
     GreedyOrder,
     budget_candidates,
     find_budget,
@@ -79,20 +80,20 @@ def test_worst_case_realization_constant():
     for a in itertools.product(("0", "1"), repeat=2):
         table[a] = 1
     g = TableUtility(table, 1, 2, BINARY)
-    sigma = worst_case_realization(g, (U, U))
+    sigma = worst_case_realization(g, g.state_of((U, U)), (0, 1))
     assert sigma == {0: "0", 1: "0"}  # ties break on alphabet order
 
 
 def test_worst_case_realization_k_of_n():
     g = KOfNUtility(3, 2)
-    sigma = worst_case_realization(g, (U, U, U))
+    sigma = worst_case_realization(g, g.state_of((U, U, U)), (0, 1, 2))
     for i in range(3):
         assert sigma[i] == worst_state(g, (U, U, U), i)
 
 
 def test_worst_case_realization_single_free():
     g = KOfNUtility(2, 1)
-    sigma = worst_case_realization(g, ("1", U))
+    sigma = worst_case_realization(g, g.state_of(("1", U)), (1,))
     assert set(sigma) == {1}
 
 
@@ -129,7 +130,9 @@ def test_weight_removal_function_matches_row_definition():
         for b in (empty_partial(inst.n), extend(empty_partial(inst.n), 0, a0[0])):
             if inst.utility.value(b) >= inst.goal:
                 continue
-            sigma = worst_case_realization(inst.utility, b)
+            sigma = worst_case_realization(inst.utility,
+                                           inst.utility.state_of(b),
+                                           free_items(b))
             rows = [(a, w) for a, w in inst.sample.rows if is_extension(a, b)]
             h = weight_removal_function(inst, b, sigma)
             frees = free_items(b)
@@ -147,7 +150,8 @@ def test_weight_removal_greedy_matches_frozenset_form():
         b = empty_partial(inst.n)
         if inst.utility.value(b) >= inst.goal:
             continue
-        sigma = worst_case_realization(inst.utility, b)
+        sigma = worst_case_realization(inst.utility, inst.utility.state_of(b),
+                                       free_items(b))
         h = weight_removal_function(inst, b, sigma)
         wb = inst.sample.weight_of(b)
 
@@ -164,7 +168,7 @@ def test_weight_removal_greedy_matches_frozenset_form():
             assert (find_budget(items, h, costs)
                     == find_budget(items, plain, costs)), seed
         for k in budget_candidates(items, costs):
-            budget = Fraction(k, costs.scale)
+            budget = Fraction(k, costs.scale << GRID_BITS)
             assert (wolsey_greedy(items, h, costs, budget)
                     == wolsey_greedy(items, plain, costs, budget)), seed
 
@@ -391,6 +395,17 @@ def test_backbone_audit_zero_mass_entry():
     assert audit.backbone_expected_cost == 0
     assert all(p == 0 for p in audit.reach_probabilities)
     assert audit.optimal_cost == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_backbone_audit_skips_a_refused_oracle(family):
+    # seven free items exceed the oracle's six: the audit still replays the
+    # invocation, but reports no optimum and no 24x verdict
+    inst, _ = random_instance(random.Random(7), n=7, family=family)
+    audit = backbone_audit(inst)
+    assert audit.status == "skipped"
+    assert audit.optimal_cost is None and audit.within_24_optimal is None
+    assert audit.trace == invocation_plan(inst, empty_partial(7))
 
 
 def test_backbone_audit_examples():

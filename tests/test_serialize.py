@@ -150,6 +150,50 @@ def test_parse_rejects_malformed_covers(covers, message):
         loads_instance(json.dumps(doc))
 
 
+def _base_with(**fields):
+    doc = _base_doc()
+    doc.update(fields)
+    return doc
+
+
+def _coverage(covers):
+    return {"kind": "coverage", "universe_size": 1, "covers": covers}
+
+
+ROW = {"assignment": ["1", "1"], "weight": 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_base_with(utility={"k": 1}), "with a 'kind'"),
+    (_base_with(states=["0", "1", "2"]), 'k_of_n requires states'),
+    (_base_with(utility={"kind": "coverage", "universe_size": 1}),
+     "needs a covers map"),
+    (_base_with(utility=_coverage({"x": {"0": [0]}})), "bad item key 'x'"),
+    (_base_with(utility=_coverage({"3": {"0": [0]}})), "out of range 1..2"),
+    (_base_with(utility=_coverage({"1": {"2": [0]}})), "undeclared state '2'"),
+    (_base_with(utility={"kind": "table", "goal": 1}), "needs a values map"),
+    (_base_with(utility={"kind": "table", "goal": 1, "values": {"1": 1}}),
+     "bad table key '1'"),
+    ([ROW], "must be a JSON object"),
+    (_base_with(states=["0"]), "at least two strings"),
+    (_base_with(states=["0", "0"]), "distinct"),
+    (_base_with(sample=[]), "non-empty list"),
+    (_base_with(sample=[["1", "1"]]), "sample row 1 must be an object"),
+    (_base_with(sample=[ROW, ROW]), "duplicate sample row"),
+    (_base_with(costs=["1"]), "exactly n entries"),
+    (_base_with(utility={"kind": "table", "goal": 1, "values": {
+        a + "," + b: 0 for a in "01*" for b in "01*"}}),
+     "does not reach its goal"),
+], ids=["no_kind", "k_of_n_three_states", "no_covers", "bad_item_key",
+        "item_out_of_range", "undeclared_cover_state", "no_table_values",
+        "bad_table_key", "not_an_object", "one_state", "duplicate_states",
+        "empty_sample", "row_not_object", "duplicate_rows", "costs_length",
+        "goal_missed_on_row"])
+def test_parse_errors_name_the_fault(doc, message):
+    with pytest.raises(ParseError, match=message):
+        loads_instance(json.dumps(doc))
+
+
 def test_parse_rejects_table_missing_partials():
     doc = _base_doc()
     doc["utility"] = {"kind": "table", "goal": 2, "values": {"0,1": 2}}

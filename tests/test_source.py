@@ -149,6 +149,13 @@ def test_one_greedy_pick_loop():
                      ("adaptivegreedy", "AdaptiveGreedyStrategy.next_item")}
 
 
+def test_one_state_derivation_per_invocation():
+    """Within the backbone module only `invocation_plan` derives b's utility
+    state, and it passes the state on to `worst_case_realization`."""
+    source = (PACKAGE / "mixedgreedy.py").read_text(encoding="utf-8")
+    assert callers_of("state_of", source) == {"invocation_plan"}
+
+
 def method_owners(name: str, source: str) -> set[str]:
     """Classes whose own body defines the method `name`."""
     return {node.name for node in ast.walk(ast.parse(source))
