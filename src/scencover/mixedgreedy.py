@@ -317,8 +317,14 @@ class InducedUtility(UtilityFunction):
 
 def induced_instance(instance: ScenarioInstance, b) -> ScenarioInstance:
     """Sub-instance over the free items of b: consistent rows restricted and
-    reweighted as-is, costs restricted, goal unchanged."""
+    reweighted as-is, costs restricted, goal unchanged.
+
+    When b observes no item this is the instance itself: the restriction
+    would have the same utility values, the same rows in the same order and
+    the same costs, so the root audit's oracle reads the utility's memo."""
     frees = free_items(b)
+    if len(frees) == instance.n:
+        return instance
     rows, _ = instance.sample.consistent_rows(b)
     restricted = tuple(
         (tuple(a[i] for i in frees), w) for a, w in rows

@@ -93,7 +93,10 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
                     raise ParseError("covered elements must be a list of "
                                      "integers in 0..%d" % (size - 1))
                 covers[(item, s)] = frozenset(elements)
-        return CoverageUtility(covers, size, n, alphabet)
+        try:
+            return CoverageUtility(covers, size, n, alphabet)
+        except ScencoverError as exc:  # some element is left uncovered
+            raise ParseError(str(exc))
     if kind == "or":
         left = build_utility(descriptor.get("left"), n, alphabet, sample)
         right = build_utility(descriptor.get("right"), n, alphabet, sample)

@@ -14,10 +14,12 @@ any order reaches `state_of(b)`, and `value(b)` is `level(state_of(b))`
 for every utility, memoized by the base class's one `_evaluate`.
 Coverage, k-of-n, count and weight elimination and OR carry a small state
 (a bitmask, two counts, a row mask, a pair); a table's state, and the
-induced utility's, is a partial realization.  The exhaustive passes over
-all partial realizations (the property checkers and `min_progress_ratio`)
-fold the states into one table of levels (`partial_table`) and leave the
-memo alone.
+induced utility's, is a partial realization.  Every state is hashable.
+The exhaustive passes over all partial realizations (the property checkers
+and `min_progress_ratio`) read one table of levels (`level_table`) and
+leave the memo alone: an OR's table is combined from its operands' tables,
+and any other utility's folds its states column-wise (`partial_table`),
+calling `level` once per distinct state.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .core import (
 class UtilityFunction:
     """Base class.  A subclass gives its states, overriding `root`, `step`,
     `level` and `state_of` together; its value is the one formula
-    `level(state_of(b))`."""
+    `level(state_of(b))`.  States must be hashable: `partial_table` calls
+    `level` once per distinct state."""
 
     def __init__(self, n: int, goal: int, alphabet: StateAlphabet):
         self.n = n
@@ -290,26 +293,50 @@ def partial_table(alphabet: StateAlphabet, n: int, root, step, finish) -> list:
     the alphabet index of b[i] and S, the number of states, that of the
     unknown marker.  So with item i free in b, b + (i, states[k]) sits at
     c - (S-k)·(S+1)^(n-1-i).
+
+    The fold runs column-wise: item i's layer is filled one state at a
+    time by slice assignment, the state of index k at every (S+1)-th slot
+    from k and the unknown marker's (the parent state itself) from S.
+    `finish` runs once per distinct state, so the states must be hashable:
+    a table over m <= 8 sample rows, say, calls it at most 2^m times.
     """
     enumerate_partials(alphabet, n)
     states = alphabet.states
+    width = len(states) + 1
     layer = [root]
     for i in range(n):
-        children = []
-        for state in layer:
-            children += [step(state, i, s) for s in states]
-            children.append(state)
+        children = [None] * (len(layer) * width)
+        for k, s in enumerate(states):
+            children[k::width] = [step(x, i, s) for x in layer]
+        children[width - 1::width] = layer
         layer = children
-    return list(map(finish, layer))
+    levels = {x: finish(x) for x in set(layer)}
+    return list(map(levels.__getitem__, layer))
+
+
+def level_table(g: UtilityFunction) -> list:
+    """value(b) of every partial realization b, in `enumerate_partials`
+    order, without the value memo.
+
+    An OR's table is combined entry by entry from its operands' tables
+    (recursively, so an OR nested in g_S is combined too), with the formula
+    of `OrUtility.level`; its own `step` and `level` are never called.  Any
+    other utility's is the `partial_table` of its states and levels.
+    """
+    if isinstance(g, OrUtility):
+        q, q1, q2 = g.goal, g.left.goal, g.right.goal
+        return [q - (q1 - v1) * (q2 - v2)
+                for v1, v2 in zip(level_table(g.left), level_table(g.right))]
+    return partial_table(g.alphabet, g.n, g.root(), g.step, g.level)
 
 
 def _level_table(g: UtilityFunction) -> tuple[list, list]:
-    """g's `partial_table` of levels, and offsets[i][k]: how far the code
-    of b + (i, states[k]) lies below that of b, for item i free in b."""
+    """g's `level_table`, and offsets[i][k]: how far the code of
+    b + (i, states[k]) lies below that of b, for item i free in b."""
     s = len(g.alphabet)
     offsets = [[(s - k) * (s + 1) ** (g.n - 1 - i) for k in range(s)]
                for i in range(g.n)]
-    return partial_table(g.alphabet, g.n, g.root(), g.step, g.level), offsets
+    return level_table(g), offsets
 
 
 def check_monotone(g: UtilityFunction) -> CheckReport:

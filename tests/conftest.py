@@ -33,6 +33,7 @@ from scencover.core import (
 from scencover.generate import FAMILIES, random_instance, random_set_function
 from scencover.minsum import JobFunction, full_cost_schedule
 from scencover.mixedgreedy import (
+    InducedUtility,
     InvocationTrace,
     MixedGreedyStrategy,
     anchored,
@@ -519,6 +520,40 @@ def reference_expected_cost(tree, instance):
         kappa, _ = reference_follow(tree, a, instance.costs)
         total += w * kappa
     return total / sample.total_weight
+
+
+def reference_partial_table(alphabet, n, root, step, finish):
+    """The row-wise fold: each state's children appended in turn, one
+    `step` per partial realization but the empty one and one `finish` per
+    entry, in `enumerate_partials` order."""
+    states = alphabet.states
+    layer = [root]
+    for i in range(n):
+        children = []
+        for state in layer:
+            children += [step(state, i, s) for s in states]
+            children.append(state)
+        layer = children
+    return list(map(finish, layer))
+
+
+def reference_level_table(g):
+    """g's levels by the row-wise fold over g's own states, an OR's pairs
+    folded by the OR's `step` and `level`."""
+    return reference_partial_table(g.alphabet, g.n, g.root(), g.step, g.level)
+
+
+def reference_induced_instance(instance, b):
+    """The sub-instance over b's free items, always built as a restriction
+    read through `InducedUtility`, at the root too."""
+    frees = free_items(b)
+    rows, _ = instance.sample.consistent_rows(b)
+    return ScenarioInstance(
+        InducedUtility(instance.utility, b),
+        WeightedSample(tuple((tuple(a[i] for i in frees), w) for a, w in rows)),
+        CostVector(tuple(instance.costs[i] for i in frees)),
+        instance.alphabet,
+    )
 
 
 def reference_min_progress_ratio(g):

@@ -431,6 +431,15 @@ def test_failures_exit_with_their_code(tmp_path, capsys, argv, code, message):
     assert message in capsys.readouterr().err
 
 
+def test_uncovered_coverage_is_a_parse_error(tmp_path, capsys):
+    doc = k_of_n_doc(n=2, k=1)
+    doc["utility"] = {"kind": "coverage", "universe_size": 1, "covers": {}}
+    infile = write_doc(tmp_path / "uncovered.json", doc)
+    assert run(["check", "--property", "goal", "--in", infile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "element 0 is uncovered" in err
+
+
 def test_solve_at_goal_everywhere_writes_null_rho(tmp_path):
     infile = write_doc(tmp_path / "goal.json", goal_everywhere_doc())
     out = tmp_path / "report.json"

@@ -59,6 +59,7 @@ from conftest import (
     instance_stream,
     is_extension,
     reference_execute_online,
+    reference_induced_instance,
     reference_invocation_plan,
     reference_mixed_greedy,
     reference_scenario_mixed_greedy,
@@ -362,6 +363,35 @@ def test_induced_instance_identity_and_restriction():
     assert sub.utility.value(("0",)) == inst.utility.value(("0", "1"))
     empty = induced_instance(inst, ("0", "1"))
     assert empty.n == 0
+
+
+def test_root_audit_solves_the_instance_itself():
+    # at the root the induced instance is the instance: the oracle answers
+    # as it does on the restriction read through `InducedUtility`
+    families = set()
+    for _, inst, descriptor in instance_stream(40, base_seed=1100):
+        families.add(descriptor["kind"])
+        root = empty_partial(inst.n)
+        assert induced_instance(inst, root) is inst
+        tree, cost = optimal_tree(inst)
+        assert optimal_tree(reference_induced_instance(inst, root)) == (tree, cost)
+        audit = backbone_audit(inst)
+        assert audit.status == "ok" and audit.optimal_cost == cost
+    assert families == set(FAMILIES)
+
+
+def test_non_root_audit_solves_the_restriction():
+    audited = 0
+    for _, inst, _ in instance_stream(20, base_seed=1200, max_n=4):
+        b = extend(empty_partial(inst.n), 0, inst.sample.rows[0][0][0])
+        sub = induced_instance(inst, b)
+        assert sub is not inst and sub.n == inst.n - 1
+        assert (optimal_tree(sub)
+                == optimal_tree(reference_induced_instance(inst, b)))
+        if inst.utility.value(b) < inst.goal:  # an invocation can start at b
+            assert backbone_audit(inst, b).optimal_cost == optimal_tree(sub)[1]
+            audited += 1
+    assert audited >= 10
 
 
 def test_scenario_mixed_greedy_tree_valid():

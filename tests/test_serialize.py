@@ -184,11 +184,13 @@ ROW = {"assignment": ["1", "1"], "weight": 1}
     (_base_with(utility={"kind": "table", "goal": 1, "values": {
         a + "," + b: 0 for a in "01*" for b in "01*"}}),
      "does not reach its goal"),
+    (_base_with(utility=_coverage({})),
+     "element 0 is uncovered under some realization"),
 ], ids=["no_kind", "k_of_n_three_states", "no_covers", "bad_item_key",
         "item_out_of_range", "undeclared_cover_state", "no_table_values",
         "bad_table_key", "not_an_object", "one_state", "duplicate_states",
         "empty_sample", "row_not_object", "duplicate_rows", "costs_length",
-        "goal_missed_on_row"])
+        "goal_missed_on_row", "uncovered_element"])
 def test_parse_errors_name_the_fault(doc, message):
     with pytest.raises(ParseError, match=message):
         loads_instance(json.dumps(doc))

@@ -40,6 +40,7 @@ from scencover.utility import (
     check_monotone,
     check_submodular,
     expected_marginal,
+    level_table,
     marginal,
     min_progress_ratio,
     partial_table,
@@ -53,7 +54,9 @@ from conftest import (
     reference_check_adaptive_submodular,
     reference_check_monotone,
     reference_check_submodular,
+    reference_level_table,
     reference_min_progress_ratio,
+    reference_partial_table,
     reference_one_step_adaptive_submodular,
     reference_one_step_submodular,
 )
@@ -297,10 +300,11 @@ def test_checkers_match_one_step_references():
 
 
 def test_check_submodular_value_calls_bounded():
-    # one level per partial realization and one step per partial
-    # realization but the empty one, and no read of the value memo
+    # one level per distinct state and one step per partial realization but
+    # the empty one, and no read of the value memo
     s, n = 2, 6
     g = random_coverage(random.Random(6), n, BINARY)
+    distinct = len({g.state_of(b) for b in enumerate_partials(BINARY, n)})
     calls = Counter()
 
     def count(name):
@@ -315,7 +319,7 @@ def test_check_submodular_value_calls_bounded():
     for name in ("step", "level", "value"):
         count(name)
     assert check_submodular(g).ok
-    assert dict(calls) == {"level": (s + 1) ** n, "step": (s + 1) ** n - 1}
+    assert dict(calls) == {"level": distinct, "step": (s + 1) ** n - 1}
 
 
 def _brute_rho(g):
@@ -435,13 +439,14 @@ def test_table_must_list_every_partial():
 
 
 STATE_FAMILIES = ("coverage", "k_of_n", "table", "induced", "or", "g_S", "g_W",
-                  "nested")
+                  "or_in_g_S", "nested")
+OR_FAMILIES = ("or", "g_S", "g_W", "or_in_g_S", "nested")
 
 
 def family_utility(family, rng, n, alphabet):
-    """One utility of the family over n items; "nested" puts the utilities
-    whose state is a partial realization (table, induced) inside ORs and
-    eliminations."""
+    """One utility of the family over n items; "or_in_g_S" is g_S of an OR,
+    and "nested" puts the utilities whose state is a partial realization
+    (table, induced) inside ORs and eliminations."""
 
     def coverage(items=n):
         return random_coverage(rng, items, alphabet, rng.randint(1, 5))
@@ -467,6 +472,8 @@ def family_utility(family, rng, n, alphabet):
         return scenario_count_utility(coverage(), sample)
     if family == "g_W":
         return scenario_weight_utility(coverage(), sample)
+    if family == "or_in_g_S":
+        return scenario_count_utility(OrUtility(coverage(), coverage()), sample)
     table = random_table(rng, n, alphabet, rng.randint(1, 6))
     return OrUtility(
         scenario_weight_utility(OrUtility(coverage(), table), sample),
@@ -500,11 +507,71 @@ def test_partial_table_matches_value(family, states, n, seed):
     g = family_utility(family, rng, n, alphabet)
     sample = random_sample(rng, alphabet, n, rng.randint(1, 8))
     partials = list(enumerate_partials(alphabet, n))
-    assert (partial_table(alphabet, n, g.root(), g.step, g.level)
-            == [g.value(b) for b in partials])
-    assert (partial_table(alphabet, n, sample.all_rows, sample.step_mask,
-                          sample.mass)
-            == [sample.weight_of(b) for b in partials])
+    for root, step, finish, expected in (
+            (g.root(), g.step, g.level, [g.value(b) for b in partials]),
+            (sample.all_rows, sample.step_mask, sample.mass,
+             [sample.weight_of(b) for b in partials])):
+        finished = []
+
+        def counted(state):
+            finished.append(state)
+            return finish(state)
+
+        assert partial_table(alphabet, n, root, step, counted) == expected
+        # one `finish` per distinct state
+        states = reference_partial_table(alphabet, n, root, step, lambda x: x)
+        assert len(finished) == len(set(finished)) == len(set(states))
+
+
+@given(st.sampled_from(STATE_FAMILIES), st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32))
+def test_level_table_matches_row_wise_fold(family, states, n, seed):
+    # the OR-combined, column-wise table equals the row-wise fold of g's
+    # own states (an OR's pairs folded by its own step and level) and lists
+    # value(b) in enumeration order
+    alphabet = BINARY if family == "k_of_n" else default_alphabet(states)
+    g = family_utility(family, random.Random(seed), n, alphabet)
+    reference = reference_level_table(g)
+    assert level_table(g) == reference
+    assert reference == [g.value(b) for b in enumerate_partials(alphabet, n)]
+
+
+def test_level_table_matches_row_wise_fold_on_every_family():
+    families = set()
+    for _, inst, descriptor in instance_stream(60, base_seed=900, max_n=4,
+                                               max_rows=6):
+        families.add(descriptor["kind"])
+        g = inst.utility
+        reference = reference_level_table(g)
+        assert level_table(g) == reference
+        assert reference == [g.value(b)
+                             for b in enumerate_partials(g.alphabet, g.n)]
+    assert families == set(FAMILIES)
+
+
+def _ors(g):
+    """Every `OrUtility` in g's operand tree."""
+    if isinstance(g, OrUtility):
+        yield g
+        yield from _ors(g.left)
+        yield from _ors(g.right)
+
+
+@pytest.mark.parametrize("family", OR_FAMILIES)
+def test_level_table_never_steps_or_levels_an_or(family):
+    def refuse(*args):
+        raise AssertionError("an OR's own step or level was called")
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        alphabet = default_alphabet(rng.randint(2, 4))
+        g = family_utility(family, rng, rng.randint(1, 4), alphabet)
+        reference = reference_level_table(g)
+        ors = list(_ors(g))
+        assert ors
+        for node in ors:
+            node.step = node.level = refuse
+        assert level_table(g) == reference
 
 
 def test_partial_table_refused_before_any_step():
