@@ -501,12 +501,16 @@ def test_step_fold_matches_value(family, states, n, seed, data):
        st.integers(0, 2**32))
 def test_partial_table_matches_value(family, states, n, seed):
     # the level table and the weight table list value(b) and weight_of(b)
-    # in enumeration order
+    # in enumeration order; `level_table`, an OR's combined from its
+    # operands', equals the row-wise fold of g's own states, an OR's pairs
+    # folded by its own step and level
     alphabet = BINARY if family == "k_of_n" else default_alphabet(states)
     rng = random.Random(seed)
     g = family_utility(family, rng, n, alphabet)
     sample = random_sample(rng, alphabet, n, rng.randint(1, 8))
     partials = list(enumerate_partials(alphabet, n))
+    assert (level_table(g) == reference_level_table(g)
+            == [g.value(b) for b in partials])
     for root, step, finish, expected in (
             (g.root(), g.step, g.level, [g.value(b) for b in partials]),
             (sample.all_rows, sample.step_mask, sample.mass,
@@ -521,19 +525,6 @@ def test_partial_table_matches_value(family, states, n, seed):
         # one `finish` per distinct state
         states = reference_partial_table(alphabet, n, root, step, lambda x: x)
         assert len(finished) == len(set(finished)) == len(set(states))
-
-
-@given(st.sampled_from(STATE_FAMILIES), st.integers(2, 4), st.integers(1, 4),
-       st.integers(0, 2**32))
-def test_level_table_matches_row_wise_fold(family, states, n, seed):
-    # the OR-combined, column-wise table equals the row-wise fold of g's
-    # own states (an OR's pairs folded by its own step and level) and lists
-    # value(b) in enumeration order
-    alphabet = BINARY if family == "k_of_n" else default_alphabet(states)
-    g = family_utility(family, random.Random(seed), n, alphabet)
-    reference = reference_level_table(g)
-    assert level_table(g) == reference
-    assert reference == [g.value(b) for b in enumerate_partials(alphabet, n)]
 
 
 def test_level_table_matches_row_wise_fold_on_every_family():
