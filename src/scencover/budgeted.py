@@ -12,6 +12,17 @@ The greedy only ever asks for the value of the picked set plus one item, so
 it reads its set function incrementally (`IncrementalFunction`): from the
 state of the picked set, one `add` per candidate.  A plain function of
 frozensets is read through `incremental`, whose state is the set itself.
+
+Two shortcuts skip rankings whose result is already known, and change no
+pick.  Each (state, item) step is made once per function: a round's gains
+are kept on the function (`IncrementalFunction.rounds`), so the probes of
+one budget search share them, and so does an order of the function rooted
+at a later state (`IncrementalFunction.rooted_at`).  And an order over a
+function that certifies itself monotone (`monotone`) saturates: once the
+picked set P has the value of the whole eligible set E, every gain is 0
+(f(P) <= f(P+i) <= f(E) = f(P)), so the first of the equal gains, the
+next remaining item, is every later pick.  An order reads f(E) only where
+it is already known (`GreedyOrder.top`).
 """
 
 from __future__ import annotations
@@ -31,19 +42,46 @@ class IncrementalFunction:
     `root()` is the state of the empty set, `add(state, i)` the state of
     that state's set plus item i (not in it), and `value(state)` the set's
     value; the state of a set must not depend on the order its items were
-    added in.  Calling the function on a frozenset folds `add` over it, so
-    it is also a `SetFunction`.  `known` maps frozensets to their values:
-    calls read and fill it, and `wolsey_greedy` adds each set it returns.
+    added in, and `add` must depend only on its arguments.  Calling the
+    function on a frozenset folds `add` over it, so it is also a
+    `SetFunction`.  `known` maps frozensets to their values: calls read and
+    fill it, and `wolsey_greedy` adds each set it returns.
+
+    `rounds` maps a state to {item: (state, value)} of the one-item
+    extensions `successor` has made, so each is made once.  `monotone`
+    certifies that adding an item never lowers the value; False claims
+    nothing.
     """
 
-    __slots__ = ("_root", "add", "value", "known")
+    __slots__ = ("_root", "add", "value", "known", "monotone", "rounds")
 
-    def __init__(self, root, add: Callable, value: Callable):
+    def __init__(self, root, add: Callable, value: Callable,
+                 monotone: bool = False):
         self._root, self.add, self.value = root, add, value
+        self.monotone = monotone
         self.known: dict = {}
+        self.rounds: dict = {}
 
     def root(self):
         return self._root
+
+    def rooted_at(self, state) -> "IncrementalFunction":
+        """The function of the sets added to `state`'s set: same `add`,
+        `value`, certificate and `rounds`, a fresh `known`."""
+        rooted = IncrementalFunction(state, self.add, self.value, self.monotone)
+        rooted.rounds = self.rounds
+        return rooted
+
+    def successor(self, state, i):
+        """(state, value) of state's set plus item i, from `rounds`."""
+        extensions = self.rounds.get(state)
+        if extensions is None:
+            extensions = self.rounds[state] = {}
+        step = extensions.get(i)
+        if step is None:
+            after = self.add(state, i)
+            step = extensions[i] = after, self.value(after)
+        return step
 
     def __call__(self, r: frozenset):
         v = self.known.get(r)
@@ -91,13 +129,20 @@ def best_ratio(items: Iterable[int], gain: Callable[[int], "int | Fraction"],
 class GreedyOrder:
     """Wolsey's greedy picks over one eligible set, made when first needed.
 
-    Every greedy loop of the package picks through `pick`: the best-ratio
+    Every greedy loop of the package ranks through `pick`: the best-ratio
     item (`best_ratio`) among the items not yet picked, by gain
-    f(picked + {i}) - f(picked), read from the picked set's state with one
-    `add` per item.  The picks depend only on the eligible set, `f` and
-    `costs`, never on the budget, so the picks at any budget are a prefix
-    of this one order.  `values[k]` is the f value of the first k picks
-    and `spent[k]` their cost units.
+    f(picked + {i}) - f(picked), read from the picked set's state, one step
+    per item, from `f.rounds` where an earlier round made it.  The picks
+    depend only on the eligible set, `f` and `costs`, never on the budget,
+    so the picks at any budget are a prefix of this one order.  `values[k]`
+    is the f value of the first k picks and `spent[k]` their cost units.
+
+    For a monotone f whose `known` holds the eligible set, `top` is its
+    value f(eligible set); otherwise None.  `find_budget`'s order of all
+    items finds it there; folding any other set took more steps than its
+    saturation saved.  Once the picks reach `top` the order is saturated:
+    every later pick is the next remaining item, at value `top`, and
+    `prefix` makes them all at once, without a round.
     """
 
     def __init__(self, eligible, f, costs: CostVector):
@@ -107,33 +152,44 @@ class GreedyOrder:
         self.state = self.f.root()
         self.values = [self.f.value(self.state)]
         self.spent = [0]
+        self.top = (self.f.known.get(frozenset(self.remaining))
+                    if self.f.monotone else None)
 
     def pick(self) -> int:
         """Make the next pick and return it; some item must be left."""
-        add, value = self.f.add, self.f.value
+        successor = self.f.successor
         state, base = self.state, self.values[-1]
-        reached = {}  # item -> (state, value) of the picked set plus it
 
         def gain(i):
-            after = add(state, i)
-            v = value(after)
-            reached[i] = after, v
-            return v - base
+            return successor(state, i)[1] - base
 
         best = best_ratio(self.remaining, gain, self.costs)
         self.remaining.remove(best)
         self.picks.append(best)
-        self.state, v = reached[best]
+        self.state, v = successor(state, best)
         self.values.append(v)
         self.spent.append(self.spent[-1] + self.costs.units[best])
         return best
 
+    def _saturate(self) -> None:
+        """Pick every remaining item in order, each at value `top`."""
+        units, spent = self.costs.units, self.spent
+        for i in self.remaining:
+            spent.append(spent[-1] + units[i])
+        self.values += [self.top] * len(self.remaining)
+        self.picks += self.remaining
+        self.remaining = []
+
     def prefix(self, cap: int) -> int:
         """The number of picks the greedy makes at `cap` units: it picks
-        until the spent units exceed `cap` or no item is left."""
+        until the spent units exceed `cap` or no item is left.  A saturated
+        order takes every item left in one step."""
         spent = self.spent
         while spent[-1] <= cap and self.remaining:
-            self.pick()
+            if self.values[-1] == self.top:
+                self._saturate()
+            else:
+                self.pick()
         return min(bisect.bisect_right(spent, cap), len(self.picks))
 
 
@@ -171,7 +227,8 @@ def wolsey_greedy(items: Iterable[int], f, costs: CostVector,
         order = orders[eligible] = GreedyOrder(eligible, f, costs)
     k = order.prefix(cap)
     last = order.picks[k - 1]
-    single = f.value(f.add(f.root(), last))
+    # the order's root round stepped {last} unless it saturated at the root
+    single = order.f.successor(order.f.root(), last)[1]
     if single >= order.values[k - 1]:
         r, value = frozenset({last}), single
     else:
@@ -219,10 +276,12 @@ def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
     and that `Fraction` is returned.  A probe's value v is feasible when
     v·den(ALPHA) >= num(ALPHA)·f(all items), in integers for an integer f.
     The probes share one dict of greedy orders, so probes with the same
-    eligible set extend one order instead of redoing its picks; the dict
-    changes no probe's result.  `f` is an `IncrementalFunction` or a plain
-    `SetFunction`; a probe's set is valued from `f.known`, where
-    `wolsey_greedy` left its value.
+    eligible set extend one order instead of redoing its picks, and the
+    orders share `f.rounds`, so no (state, item) is stepped twice in one
+    search; neither changes a probe's result.  `f` is an
+    `IncrementalFunction` or a plain `SetFunction`; a probe's set is valued
+    from `f.known`, where `wolsey_greedy` left its value, and the order of
+    all items reads its `top` there too.
     """
     f = incremental(f)
     items = sorted(items)

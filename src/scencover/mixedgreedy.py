@@ -85,14 +85,15 @@ def weight_removal_function(instance: ScenarioInstance, b,
     Those are the rows consistent with b less the rows consistent with b
     anchored on the whole set, so h(r) = W_b - W(b with sigma on r).  Read
     incrementally, the state is the row mask of b anchored on the set: the
-    root is b's mask, adding item i keeps the rows with sigma[i] at i.
+    root is b's mask, adding item i keeps the rows with sigma[i] at i.  It
+    is monotone by construction: anchoring more items keeps fewer rows.
     """
     sample = instance.sample
     mask = sample.mask_of(b)
     wb = sample.mass(mask)
     step_mask, mass = sample.step_mask, sample.mass
     return IncrementalFunction(mask, lambda m, i: step_mask(m, i, sigma[i]),
-                               lambda m: wb - mass(m))
+                               lambda m: wb - mass(m), monotone=True)
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,11 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     state = g.state_of(b)  # then g's state of b anchored on every pick
     sigma = worst_case_realization(g, state, frees)
     step, level = g.step, g.level
-    # the utility gained by anchoring a set, read from b's state
+    # the utility gained by anchoring a set, read from b's state; monotone
+    # when g is, and its rounds serve every budget probe and stage 2
     anchored_gain = IncrementalFunction(
-        state, lambda st, i: step(st, i, sigma[i]), lambda st: level(st) - gb)
+        state, lambda st, i: step(st, i, sigma[i]), lambda st: level(st) - gb,
+        g.monotone)
     full_gain = anchored_gain(frozenset(frees))  # find_budget reads it again
     if full_gain <= 0:
         raise PreconditionError("worst-case realization %r has utility %d < goal %d"
@@ -190,8 +193,7 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         stage2, stage2_exit = (), "empty"
     else:
         # the utility gained by anchoring a set, from stage 1's anchors on
-        gain = IncrementalFunction(state, anchored_gain.add, anchored_gain.value)
-        order, stage2_exit = stage(gain, rest)
+        order, stage2_exit = stage(anchored_gain.rooted_at(state), rest)
         stage2 = tuple(order.picks)
 
     return InvocationTrace(
@@ -292,7 +294,8 @@ def scenario_mixed_greedy_tree(instance: ScenarioInstance, traces=None):
 class InducedUtility(UtilityFunction):
     """The original utility read through a fixed partial realization: free
     items are renumbered 0..n'-1, fixed items keep their observed states.
-    The state is the original utility's partial realization."""
+    The state is the original utility's partial realization, and the
+    monotone certificate is the original utility's."""
 
     def __init__(self, g: UtilityFunction, b):
         self.base_utility = g
@@ -300,6 +303,7 @@ class InducedUtility(UtilityFunction):
         self.item_map = free_items(b)  # new index -> original index
         super().__init__(len(self.item_map), g.goal, g.alphabet)
         self.level = g.value
+        self.monotone = g.monotone
 
     def root(self):
         return self.fixed

@@ -44,7 +44,15 @@ class UtilityFunction:
     """Base class.  A subclass gives its states, overriding `root`, `step`,
     `level` and `state_of` together; its value is the one formula
     `level(state_of(b))`.  States must be hashable: `partial_table` calls
-    `level` once per distinct state."""
+    `level` once per distinct state.
+
+    `monotone` certifies, by construction, that observing an item never
+    lowers the value.  The base class certifies nothing; a family that is
+    monotone by its shape declares True, and the greedy reads the
+    certificate to stop ranking once it saturates (`budgeted.GreedyOrder`).
+    `check_monotone` is the independent test."""
+
+    monotone = False
 
     def __init__(self, n: int, goal: int, alphabet: StateAlphabet):
         self.n = n
@@ -93,7 +101,8 @@ class OrUtility(UtilityFunction):
     monotonicity and submodularity.  For the combined function to reach its
     goal on all full realizations, at least one constituent must reach its
     goal on each of them (caller's responsibility; checkable by enumeration).
-    The state is the pair of the operands' states.
+    The state is the pair of the operands' states, and it is certified
+    monotone when both operands are.
     """
 
     def __init__(self, g1: UtilityFunction, g2: UtilityFunction):
@@ -102,6 +111,7 @@ class OrUtility(UtilityFunction):
         super().__init__(g1.n, g1.goal * g2.goal, g1.alphabet)
         self.left = g1
         self.right = g2
+        self.monotone = g1.monotone and g2.monotone
         self._step1, self._step2 = g1.step, g2.step
         self._level1, self._level2 = g1.level, g2.level
 
@@ -122,7 +132,10 @@ class OrUtility(UtilityFunction):
 class EliminationUtility(UtilityFunction):
     """Measure of the sample rows ruled out by the observed states: the goal
     is the measure of every row, and the state is the row mask of the rows
-    still consistent (`WeightedSample.mask_of`)."""
+    still consistent (`WeightedSample.mask_of`); monotone, since a row
+    once ruled out stays out."""
+
+    monotone = True
 
     def __init__(self, sample: WeightedSample, n: int, alphabet: StateAlphabet,
                  measure):
@@ -174,8 +187,11 @@ class KOfNUtility(UtilityFunction):
 
     Over the binary alphabet, the goal k*(n-k+1) is reached exactly when b
     has at least k ones or at least n-k+1 zeros, i.e. when the function's
-    value is determined.  The state is the pair (ones, zeros).
+    value is determined.  The state is the pair (ones, zeros); monotone,
+    since both truncated counts only grow.
     """
+
+    monotone = True
 
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
@@ -208,6 +224,8 @@ class CoverageUtility(UtilityFunction):
     state is the int bitmask of the covered elements, and a cover is kept
     as its bitmask: `masks[i][state]`.
     """
+
+    monotone = True
 
     def __init__(self, covers: dict, universe_size: int, n: int,
                  alphabet: StateAlphabet):

@@ -1,5 +1,6 @@
 """Budgeted greedy maximization, its constants, and the budget search."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,9 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from scencover import budgeted
 from scencover.budgeted import (
     ALPHA,
     GRID_BITS,
@@ -282,6 +282,53 @@ def test_native_and_adapted_functions_agree(problem, data):
         assert native(got) == f(got)
 
 
+@settings(max_examples=20, deadline=None)
+@given(budget_problems(min_items=1), st.integers(0, 1023))
+@example(problem=(CostVector((Fraction(1), Fraction(3, 2), Fraction(1, 2))),
+                  BitmaskCoverage([1, 2, 3], [4, 5])), root=3)
+def test_saturated_orders_match_ranked_orders(problem, root):
+    # a coverage certified monotone stops ranking once it saturates; the
+    # same function uncertified ranks every round, and both give the same
+    # picks, values and spent units at every prefix, the same greedy sets
+    # at every candidate budget (orders shared across budgets) and the same
+    # budget.  The root state covers some elements, every one when root is
+    # the whole universe, and the order then saturates at its root
+    costs, coverage = problem
+    items = list(range(len(costs)))
+    root &= (1 << len(coverage.weights)) - 1
+    native = native_coverage(coverage)
+    ranked = native.rooted_at(root)
+    saturating = IncrementalFunction(root, native.add, native.value, True)
+    functions = (saturating, ranked)
+    # an order finds f(eligible set) in `known` only, as find_budget's
+    # order of all items does
+    assert GreedyOrder(items, saturating, costs).top is None
+    top = saturating(frozenset(items))
+    orders = [GreedyOrder(items, fn, costs) for fn in functions]
+    assert orders[0].top == top == ranked(frozenset(items))
+    assert orders[1].top is None
+    caps = sorted({c + d for c in itertools.accumulate(costs.units)
+                   for d in (-1, 0)})
+    for cap in caps:
+        k = orders[0].prefix(cap)
+        assert k == orders[1].prefix(cap)
+        assert orders[0].picks[:k] == orders[1].picks[:k]
+        assert orders[0].values[:k + 1] == orders[1].values[:k + 1]
+        assert orders[0].spent[:k + 1] == orders[1].spent[:k + 1]
+    assert orders[0].picks == orders[1].picks
+    assert orders[0].values == orders[1].values
+    assert orders[0].spent == orders[1].spent
+    # the greedy sets and the budget
+    shared: tuple = ({}, {})
+    for k in budget_candidates(items, costs):
+        budget = Fraction(k, costs.scale << GRID_BITS)
+        got = [wolsey_greedy(items, fn, costs, budget, orders)
+               for fn, orders in zip(functions, shared)]
+        assert got[0] == got[1]
+    assert find_budget(items, saturating, costs) == find_budget(items, ranked,
+                                                                costs)
+
+
 @given(budget_problems(min_items=1))
 def test_standard_greedy_matches_reference(problem):
     # the schedule greedy is the picks of one greedy order up to f(all):
@@ -293,36 +340,33 @@ def test_standard_greedy_matches_reference(problem):
 
 
 @pytest.mark.parametrize("seed", [5, 9, 12])
-def test_find_budget_ranks_each_greedy_round_once(seed, monkeypatch):
-    # a greedy round ranks the remaining eligible items against the set
-    # picked so far; the probes of one search share their rounds, so none is
-    # ranked twice.  The remaining list alone does not name a round: after
-    # different picks two eligible sets can leave the same list (seeds 5
-    # and 9), so the picked set is read from the first gain's f argument
+def test_find_budget_ranks_each_greedy_round_once(seed):
+    # the probes of one search share their rounds through f.rounds, so no
+    # (state, item) is stepped twice, though different eligible sets can
+    # reach one picked set (seeds 5 and 9 pick to equal remaining lists).
+    # The folds of `__call__` (the full value, and each monotone order's
+    # top, the value of its eligible set) are read from `known`, filled
+    # beforehand, so every `add` counted is a round's step or the value of
+    # a probe's last pick
     rng = random.Random(seed)
     n = 12
     coverage = random_set_function(rng, n, universe_size=10)
     costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
     expected = reference_find_budget(range(n), coverage, costs)
-    args = []
+    for monotone in (False, True):
+        steps = []
 
-    def f(r):
-        args.append(r)
-        return coverage(r)
+        def add(r, i):
+            steps.append((r, i))
+            return r | {i}
 
-    rounds = []
-
-    def recording(items, gain, cost_vector):
-        items = list(items)
-        start = len(args)
-        best = best_ratio(items, gain, cost_vector)
-        rounds.append((tuple(items), args[start] - {items[0]}))
-        return best
-
-    monkeypatch.setattr(budgeted, "best_ratio", recording)
-    assert find_budget(range(n), f, costs) == expected
-    assert rounds
-    assert len(set(rounds)) == len(rounds)
+        f = IncrementalFunction(frozenset(), add, coverage, monotone)
+        for cap in sorted(set(costs.units)):
+            eligible = frozenset(i for i in range(n) if costs.units[i] <= cap)
+            f.known[eligible] = coverage(eligible)
+        assert find_budget(range(n), f, costs) == expected
+        assert steps
+        assert len(set(steps)) == len(steps), monotone
 
 
 @given(budget_problems())

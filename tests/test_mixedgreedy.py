@@ -38,6 +38,7 @@ from scencover.budgeted import (
 from scencover.mixedgreedy import (
     MixedGreedyStrategy,
     anchored,
+    combined_count_instance,
     backbone_audit,
     execute_online,
     invocation_plan,
@@ -213,6 +214,34 @@ def test_invocation_traces_match_fraction_reference():
                 reference = reference_invocation_plan(inst, trace.entry)
                 assert trace == reference, (family, seed, trace.entry)
                 assert type(trace.budget) is Fraction
+
+
+def test_saturating_invocations_match_fraction_reference(monkeypatch):
+    # the combined utility of scenario-mixed (an OR with row-count
+    # elimination, nested twice over g_W) is certified monotone, so a budget
+    # search's order of all items stops ranking once it saturates; each
+    # invocation still equals the reference's, and the shortcut is taken
+    saturated = []
+    saturate = GreedyOrder._saturate
+
+    def counted(order):
+        saturated.append(len(order.remaining))
+        saturate(order)
+
+    monkeypatch.setattr(GreedyOrder, "_saturate", counted)
+    families = set()
+    for seed, inst, descriptor in instance_stream(40, base_seed=4500,
+                                                  max_n=6):
+        combined = combined_count_instance(inst)
+        assert combined.utility.monotone
+        traces: list = []
+        scenario_mixed_greedy_tree(inst, traces=traces)
+        for trace in traces:
+            assert trace == reference_invocation_plan(combined, trace.entry), (
+                seed, trace.entry)
+        families.add(descriptor["kind"])
+    assert families == set(FAMILIES)
+    assert saturated
 
 
 @settings(max_examples=12, deadline=None)

@@ -190,6 +190,42 @@ def test_one_value_formula():
     assert base_states == set()
 
 
+def class_constants(name: str, source: str) -> dict[str, object]:
+    """{class: value} for each class whose own body assigns the constant
+    `name` (a literal)."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and isinstance(item.value, ast.Constant)
+                        and any(isinstance(t, ast.Name) and t.id == name
+                                for t in item.targets)):
+                    found[node.name] = item.value.value
+    return found
+
+
+def test_class_constants_detected():
+    source = ("class A:\n    monotone = True\n"
+              "class B(A):\n    monotone = False\n"
+              "    def __init__(self):\n        self.monotone = True\n"
+              "class C(A):\n    passes = 2\n")
+    assert class_constants("monotone", source) == {"A": True, "B": False}
+
+
+def test_monotone_certificates_declared():
+    """The families monotone by their shape are the only classes that
+    declare `monotone = True`; the base class declares False, and an OR
+    and an induced utility take their operands' certificates."""
+    declared = {(p.stem, cls, value) for p in PACKAGE.glob("*.py")
+                for cls, value in class_constants(
+                    "monotone", p.read_text(encoding="utf-8")).items()}
+    assert declared == {("utility", "UtilityFunction", False),
+                        ("utility", "CoverageUtility", True),
+                        ("utility", "KOfNUtility", True),
+                        ("utility", "EliminationUtility", True)}
+
+
 #: The utility constructors, which the generator leaves to the parser.
 UTILITY_BUILDERS = ("CoverageUtility", "KOfNUtility", "OrUtility",
                     "TableUtility", "scenario_count_utility",

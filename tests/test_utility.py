@@ -24,6 +24,7 @@ from scencover.core import (
 from scencover.generate import (
     default_alphabet,
     random_coverage_descriptor,
+    random_instance,
     random_sample,
 )
 from scencover.mixedgreedy import InducedUtility
@@ -191,6 +192,46 @@ def test_check_monotone():
     assert not report.ok and report.witness is not None
     b, i, s = report.witness
     assert bad.value(extend(b, i, s)) < bad.value(b)
+
+
+def test_monotone_certificates_hold_on_every_family():
+    # every generated family, and its g_S and g_W combinations, is certified
+    # monotone by construction, and the exhaustive checker agrees
+    families = set()
+    for family in FAMILIES:
+        for seed in range(4):
+            rng = random.Random(seed)
+            n = rng.randint(2, 6)
+            states = 2 if family == "k_of_n" else rng.randint(2, 3)
+            inst, _ = random_instance(rng, n=n, num_states=states,
+                                      sample_size=rng.randint(1, 6),
+                                      family=family,
+                                      universe_size=rng.randint(2, 5))
+            g = inst.utility
+            for combined in (g, scenario_count_utility(g, inst.sample),
+                             scenario_weight_utility(g, inst.sample)):
+                assert combined.monotone, (family, seed)
+                assert check_monotone(combined).ok, (family, seed)
+            families.add(family)
+    assert families == set(FAMILIES)
+
+
+def test_monotone_certificate_claims_nothing_for_tables():
+    # a table certifies nothing, even a monotone one, and an OR or an
+    # induced utility certifies only what its operands do
+    rng = random.Random(3)
+    table = constant_utility(2)
+    assert check_monotone(table).ok and not table.monotone
+    coverage = random_coverage(rng, 2, BINARY)
+    assert coverage.monotone and KOfNUtility(2, 1).monotone
+    assert not OrUtility(coverage, table).monotone
+    assert not OrUtility(table, coverage).monotone
+    assert not scenario_count_utility(table, SAMPLE).monotone
+    assert OrUtility(coverage, coverage).monotone
+    assert CountEliminationUtility(SAMPLE, 2, BINARY).monotone
+    assert WeightEliminationUtility(SAMPLE, 2, BINARY).monotone
+    assert InducedUtility(coverage, (U, "1")).monotone
+    assert not InducedUtility(table, (U, "1")).monotone
 
 
 def test_check_submodular():
