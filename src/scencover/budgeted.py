@@ -23,6 +23,9 @@ picked set P has the value of the whole eligible set E, every gain is 0
 (f(P) <= f(P+i) <= f(E) = f(P)), so the first of the equal gains, the
 next remaining item, is every later pick.  An order reads f(E) only where
 it is already known (`GreedyOrder.top`).
+
+The budget search (`find_budget`) walks the greedy's breakpoints upward, the
+caps where its set can change, to the least feasible one.
 """
 
 from __future__ import annotations
@@ -237,51 +240,41 @@ def wolsey_greedy(items: Iterable[int], f, costs: CostVector,
     return r
 
 
-#: Candidate budgets count 2^-GRID_BITS of a cost unit.
+#: Above 20 items a budget is a multiple of 2^-GRID_BITS of the total cost.
 GRID_BITS = 20
 
 
-def budget_candidates(items, costs: CostVector):
-    """Finite candidate budgets, sorted ints in units of 2^-GRID_BITS of a
-    cost unit (candidate k is the budget `Fraction(k, costs.scale <<
-    GRID_BITS)`): achieved greedy value is piecewise constant in the
-    budget, changing only at subset sums of the item costs.
-
-    Up to 20 items the candidates are the subset sums of `costs.units`,
-    summed in cost units and shifted once on return.  For more than 20
-    items the subset-sum set is replaced by the grid of 2^GRID_BITS equal
-    steps over [0, total units], a `range`.
-    """
-    items = list(items)
+def budget_candidates(items, costs: CostVector) -> list[int]:
+    """The sorted distinct unit costs of `items` (`costs.units`), the caps
+    at which the greedy's eligible set grows."""
     units = costs.units
-    if len(items) <= 20:
-        sums = {0}
-        for i in items:
-            c = units[i]
-            sums |= {s + c for s in sums}
-        return [s << GRID_BITS for s in sorted(sums)]
-    total = sum(units[i] for i in items)
-    return range(0, (total << GRID_BITS) + 1, total)
+    return sorted({units[i] for i in items})
 
 
 def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
-    """A candidate budget at which the greedy set reaches an alpha fraction
-    of f over all items, found by bisection over `budget_candidates`.
+    """The least budget at which the greedy set reaches an alpha fraction of
+    f over all items: value v with v·den(ALPHA) >= num(ALPHA)·f(all items),
+    in integers for an integer f.
 
-    The greedy value need not be monotone in the budget, so this is not
-    always the smallest such candidate.  What the bisection guarantees: the
-    returned budget is feasible, and the candidate just below it (if any)
-    is not.  Candidates stay ints during the search, each probe runs
-    `wolsey_greedy` at the budget `Fraction(k, costs.scale << GRID_BITS)`,
-    and that `Fraction` is returned.  A probe's value v is feasible when
-    v·den(ALPHA) >= num(ALPHA)·f(all items), in integers for an integer f.
-    The probes share one dict of greedy orders, so probes with the same
-    eligible set extend one order instead of redoing its picks, and the
-    orders share `f.rounds`, so no (state, item) is stepped twice in one
-    search; neither changes a probe's result.  `f` is an
-    `IncrementalFunction` or a plain `SetFunction`; a probe's set is valued
-    from `f.known`, where `wolsey_greedy` left its value, and the order of
-    all items reads its `top` there too.
+    `wolsey_greedy` reads a budget only through its cap, floor(budget·L)
+    units (L = `costs.scale`), and its set changes only at a breakpoint: a
+    unit cost (`budget_candidates`), where the eligible set grows, or the
+    next `spent` entry of that set's order, where its picks stop one later.
+    The search probes cap 0, then each next breakpoint, and stops at the
+    first feasible cap C*, a subset sum of the costs.  It returns C*/L up to
+    20 items; above, C* rounded up to a multiple of total/2^GRID_BITS units,
+    whose cap is C* while the total is below 2^GRID_BITS units.
+
+    Every cap below C* is infeasible, so for a monotone submodular f, on
+    which the greedy gets alpha of the best set within its budget, no set
+    costing less than C*/L reaches f(all items), and the next smaller subset
+    sum is infeasible.  Whether Cicalese, Laber & Saettler's analysis of the
+    backbone needs more is not verified.
+
+    The probes share one dict of greedy orders and, through them,
+    `f.rounds`, so no (state, item) is stepped twice in one search; neither
+    changes a probe's result.  `f` is an `IncrementalFunction` or a plain
+    `SetFunction`; probes value their sets from `f.known`.
     """
     f = incremental(f)
     items = sorted(items)
@@ -289,21 +282,25 @@ def find_budget(items: Iterable[int], f, costs: CostVector) -> Fraction:
     if full_value <= 0:
         raise PreconditionError("set function must be positive on all items")
     target, den = ALPHA.numerator * full_value, ALPHA.denominator
-    scale = costs.scale << GRID_BITS
+    units, scale = costs.units, costs.scale
+    growth = budget_candidates(items, costs)
     orders: dict = {}
-
-    def feasible(k):
-        budget = Fraction(k, scale)
-        return f(wolsey_greedy(items, f, costs, budget, orders)) * den >= target
-
-    candidates = budget_candidates(items, costs)
-    if not feasible(candidates[-1]):
-        raise PreconditionError("no budget up to the total cost suffices")
-    lo, hi = 0, len(candidates) - 1  # invariant: hi is feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(candidates[hi], scale)
+    cap = 0
+    while (f(wolsey_greedy(items, f, costs, Fraction(cap, scale), orders))
+           * den < target):
+        j = bisect.bisect_right(growth, cap)
+        breaks = growth[j:j + 1]
+        eligible = tuple(i for i in items if units[i] <= cap)
+        if eligible:  # wolsey_greedy's key; from spent[k] on it picks k + 1
+            order = orders[eligible]
+            k = order.prefix(cap)
+            if k < len(eligible):
+                breaks.append(order.spent[k])
+        if not breaks:
+            raise PreconditionError("no budget up to the total cost suffices")
+        cap = min(breaks)
+    if len(items) <= 20:
+        return Fraction(cap, scale)
+    total = sum(units[i] for i in items)
+    steps = -(-(cap << GRID_BITS) // total)
+    return Fraction(steps * total, scale << GRID_BITS)

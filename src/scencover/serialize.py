@@ -121,7 +121,7 @@ def build_utility(descriptor, n: int, alphabet: StateAlphabet, sample):
             table[b] = v
         try:
             return TableUtility(table, goal, n, alphabet)
-        except ScencoverError as exc:  # the table misses some partials
+        except ScencoverError as exc:  # a partial missed or above the goal
             raise ParseError(str(exc))
     if kind in ("g_S", "g_W"):
         inner = build_utility(descriptor.get("inner"), n, alphabet, sample)

@@ -272,7 +272,8 @@ class CoverageUtility(UtilityFunction):
 class TableUtility(UtilityFunction):
     """Utility stored as a raw table over the partial realizations, which
     are its states; for counterexample construction only.  The table must
-    list every partial realization: every exhaustive pass reads them all."""
+    list every partial realization, every exhaustive pass reads them all,
+    and no value may exceed the goal."""
 
     def __init__(self, table: dict, goal: int, n: int, alphabet: StateAlphabet):
         super().__init__(n, goal, alphabet)
@@ -282,6 +283,10 @@ class TableUtility(UtilityFunction):
         if listed != len(partials):
             raise PreconditionError("table lists %d of the %d partial realizations"
                                     % (listed, len(partials)))
+        for b, v in self.table.items():
+            if v > goal:
+                raise PreconditionError("table value %d at %r exceeds the goal %d"
+                                        % (v, b, goal))
         self.step = extend
         self.level = self.table.__getitem__
 

@@ -6,6 +6,7 @@ reproduce exactly.
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -379,42 +380,41 @@ def reference_wolsey_greedy(items, f, costs, budget):
 
 
 def reference_budget_candidates(items, costs):
-    """The candidate budgets as `Fraction`s, in the form (indices, step):
-    candidate j is indices[j] * step.  Up to 20 items the indices are the
-    sorted `Fraction` subset sums and the step is 1; above, the indices are
-    range(2^20 + 1) and the step is total / 2^20."""
-    items = list(items)
-    if len(items) <= 20:
-        sums = {Fraction(0)}
-        for i in items:
-            sums |= {s + costs[i] for s in sums}
-        return sorted(sums), 1
-    total = sum((costs[i] for i in items), Fraction(0))
-    return range((1 << 20) + 1), total / (1 << 20)
+    """The sorted `Fraction` subset sums of the items' costs."""
+    sums = {Fraction(0)}
+    for i in items:
+        sums |= {s + costs[i] for s in sums}
+    return sorted(sums)
 
 
 def reference_find_budget(items, f, costs):
-    """Bisection over the `Fraction` candidates with the reference greedy."""
+    """The least budget at which the reference greedy reaches ALPHA of f
+    over all items.  Up to 20 items it is the first feasible `Fraction`
+    subset sum.  Above 20 it is the first feasible whole number of cost
+    units c/L, c = 0..total units (L = `costs.scale`), rounded up to the
+    next multiple of total/2^20."""
     items = sorted(items)
     full_value = f(frozenset(items))
     if full_value <= 0:
         raise PreconditionError("set function must be positive on all items")
-    target_num = ALPHA * full_value
+    target = ALPHA * full_value
 
     def feasible(budget):
-        return f(reference_wolsey_greedy(items, f, costs, budget)) >= target_num
+        return f(reference_wolsey_greedy(items, f, costs, budget)) >= target
 
-    indices, step = reference_budget_candidates(items, costs)
-    if not feasible(indices[-1] * step):
+    total = sum((costs[i] for i in items), Fraction(0))
+    if len(items) <= 20:
+        budgets = reference_budget_candidates(items, costs)
+    else:
+        budgets = (Fraction(c, costs.scale)
+                   for c in range(int(total * costs.scale) + 1))
+    budget = next((b for b in budgets if feasible(b)), None)
+    if budget is None:
         raise PreconditionError("no budget up to the total cost suffices")
-    lo, hi = 0, len(indices) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(indices[mid] * step):
-            hi = mid
-        else:
-            lo = mid + 1
-    return indices[hi] * step
+    if len(items) <= 20:
+        return budget
+    step = total / (1 << 20)
+    return math.ceil(budget / step) * step
 
 
 def reference_invocation_plan(instance, b):

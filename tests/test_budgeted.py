@@ -3,16 +3,15 @@
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scencover import budgeted
 from scencover.budgeted import (
     ALPHA,
-    GRID_BITS,
     GreedyOrder,
     IncrementalFunction,
     PreconditionError,
@@ -124,15 +123,11 @@ def test_find_budget_rejects_zero_function():
 
 
 def test_find_budget_first_feasible_candidate():
-    # on these problems the greedy value is monotone in the budget (not so
-    # in general, see test_find_budget_is_not_always_the_smallest), so a
-    # linear scan over the candidates must find the bisection's budget
+    # a linear scan over the subset sums finds the walk's budget
     for seed in range(100):
         items, f, costs, _ = seeded_budgeted(seed, max_items=7)
         target = ALPHA * f(frozenset(items))
-        budgets = (Fraction(k, costs.scale << GRID_BITS)
-                   for k in budget_candidates(items, costs))
-        first = next(c for c in budgets
+        first = next(c for c in reference_budget_candidates(items, costs)
                      if f(wolsey_greedy(items, f, costs, c)) >= target)
         assert find_budget(items, f, costs) == first
 
@@ -146,13 +141,14 @@ def test_find_budget_achieves_target():
 
 
 def test_budget_candidates_are_subset_sums():
+    # the one-item subset sums, in cost units, each once: the caps where
+    # the greedy's eligible set grows
     costs = CostVector((Fraction(1), Fraction(3, 2)))
     assert costs.scale == 2 and costs.units == (2, 3)
-    candidates = budget_candidates([0, 1], costs)
-    assert candidates == [0, 2 << GRID_BITS, 3 << GRID_BITS, 5 << GRID_BITS]
-    assert [Fraction(k, costs.scale << GRID_BITS) for k in candidates] == [
-        Fraction(0), Fraction(1), Fraction(3, 2), Fraction(5, 2)
-    ]
+    assert budget_candidates([0, 1], costs) == [2, 3]
+    costs = CostVector((Fraction(3, 2), Fraction(1), Fraction(3, 2)))
+    assert budget_candidates([0, 1, 2], costs) == [2, 3]
+    assert budget_candidates([0], costs) == [3]
 
 
 rational_costs = st.one_of(
@@ -163,15 +159,15 @@ rational_costs = st.one_of(
 
 @given(st.lists(rational_costs, max_size=12))
 def test_budget_candidates_match_fraction_subset_sums(drawn):
+    # the distinct `Fraction` costs, each a one-item subset sum
     costs = CostVector(tuple(drawn))
     items = list(range(len(costs)))
     candidates = budget_candidates(items, costs)
-    reference, step = reference_budget_candidates(items, costs)
-    assert step == 1
     assert all(type(k) is int for k in candidates)
-    assert len(candidates) == len(reference)
-    for k, c in zip(candidates, reference):
-        assert Fraction(k, costs.scale << GRID_BITS) == c
+    assert ([Fraction(k, costs.scale) for k in candidates]
+            == sorted(set(costs)))
+    assert set(candidates) <= {c * costs.scale for c in
+                               reference_budget_candidates(items, costs)}
 
 
 @st.composite
@@ -320,8 +316,7 @@ def test_saturated_orders_match_ranked_orders(problem, root):
     assert orders[0].spent == orders[1].spent
     # the greedy sets and the budget
     shared: tuple = ({}, {})
-    for k in budget_candidates(items, costs):
-        budget = Fraction(k, costs.scale << GRID_BITS)
+    for budget in reference_budget_candidates(items, costs):
         got = [wolsey_greedy(items, fn, costs, budget, orders)
                for fn, orders in zip(functions, shared)]
         assert got[0] == got[1]
@@ -384,8 +379,8 @@ def test_find_budget_matches_fraction_reference(problem):
 
 
 # the greedy set reaches the target at budget 1 ({4}), misses it at 3/2
-# ({1}) and reaches it again from 2 on; the bisection probes 3, then 3/2,
-# and returns 2, not the smallest feasible budget 1
+# ({1}) and reaches it again from 2 on: the greedy value is not monotone in
+# the budget, and a bisection over the subset sums would return 2
 NON_MONOTONE = (
     CostVector((Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(3, 2),
                 Fraction(1))),
@@ -396,8 +391,8 @@ NON_MONOTONE = (
 @given(budget_problems(min_items=1))
 @example(problem=NON_MONOTONE)
 def test_find_budget_feasible_and_previous_candidate_is_not(problem):
-    # what the bisection guarantees whether or not the greedy value is
-    # monotone in the budget
+    # whether or not the greedy value is monotone in the budget, the budget
+    # is a feasible subset sum and every smaller subset sum is infeasible
     costs, f = problem
     items = list(range(len(costs)))
     target = ALPHA * f(frozenset(items))
@@ -406,79 +401,78 @@ def test_find_budget_feasible_and_previous_candidate_is_not(problem):
         return f(wolsey_greedy(items, f, costs, budget)) >= target
 
     budget = find_budget(items, f, costs)
-    candidates = [Fraction(k, costs.scale << GRID_BITS)
-                  for k in budget_candidates(items, costs)]
-    k = candidates.index(budget)
+    sums = reference_budget_candidates(items, costs)
+    k = sums.index(budget)
     assert feasible(budget)
-    assert k == 0 or not feasible(candidates[k - 1])
+    assert not any(feasible(c) for c in sums[:k])
 
 
-def test_find_budget_is_not_always_the_smallest():
+def test_find_budget_returns_the_smallest():
     costs, f = NON_MONOTONE
     items = list(range(len(costs)))
     target = ALPHA * f(frozenset(items))
-    scale = costs.scale << GRID_BITS
-    feasible = [Fraction(k, scale) for k in budget_candidates(items, costs)
-                if f(wolsey_greedy(items, f, costs,
-                                   Fraction(k, scale))) >= target]
-    assert feasible[0] == 1
-    assert find_budget(items, f, costs) == 2
-
-
-@pytest.mark.parametrize("n", [21, 22, 23, 24])
-def test_budget_grid_points(n):
-    rng = random.Random(n)
-    costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
-    total = costs.total()
-    grid = budget_candidates(range(n), costs)
-    indices, step = reference_budget_candidates(range(n), costs)
-    scale = costs.scale << GRID_BITS
-    size = (1 << 20) + 1
-    assert len(grid) == len(indices) == size
-    # the bisection reads the grid by index, never by iteration, so check
-    # both ends of the index range
-    for k in (size, -size - 1):
-        with pytest.raises(IndexError):
-            grid[k]
-    assert grid[-1] == grid[size - 1] == sum(costs.units) << GRID_BITS
-    assert grid[0] == grid[-size] == 0
-    for k in (0, 1, 1 << 19, -1):
-        assert type(grid[k]) is int
-        assert Fraction(grid[k], scale) == indices[k] * step
-    assert Fraction(grid[1], scale) == total / (1 << 20)
-    assert Fraction(grid[1 << 19], scale) == total / 2
-
-
-def test_budget_grid_is_not_materialised():
-    costs = CostVector(tuple(Fraction(i + 1, 3) for i in range(22)))
-    tracemalloc.start()
-    try:
-        grid = budget_candidates(range(22), costs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(grid) == (1 << 20) + 1
-    assert peak < 1 << 20
+    feasible = [c for c in reference_budget_candidates(items, costs)
+                if f(wolsey_greedy(items, f, costs, c)) >= target]
+    assert feasible[:2] == [1, 2]
+    assert Fraction(3, 2) not in feasible
+    assert find_budget(items, f, costs) == 1
 
 
 @pytest.mark.parametrize("seed,n", [(1, 21), (2, 21), (3, 22), (4, 22)])
-def test_find_budget_bisects_the_grid(seed, n):
-    # above 20 items the candidates are the grid total * k / 2^20; the
-    # search returns the first grid point at which the greedy is feasible
+def test_find_budget_rounds_up_to_the_grid(seed, n):
+    # above 20 items the budget is the least feasible cap rounded up to the
+    # grid total * k / 2^20: the first grid point at which the greedy is
+    # feasible when the grid is finer than a cost unit
     rng = random.Random(seed)
     f = random_set_function(rng, n, universe_size=12)
     costs = CostVector(tuple(rng.choice(COST_POOL) for _ in range(n)))
     items = list(range(n))
     step = costs.total() / (1 << 20)
+    assert sum(costs.units) < 1 << 20
 
     def feasible(budget):
         value = f(wolsey_greedy(items, f, costs, budget))
         return value >= ALPHA * f(frozenset(items))
 
     b = find_budget(items, f, costs)
+    assert b == reference_find_budget(items, f, costs)
     assert (b / step).denominator == 1
     assert feasible(b)
     assert b == 0 or not feasible(b - step)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_find_budget_walks_few_breakpoints_on_diverse_costs(seed, monkeypatch):
+    # 20 costs a/b with b up to 12 have up to 2^20 distinct subset sums;
+    # the walk probes breakpoints only, at most 2n+1 of them on these draws
+    rng = random.Random(seed)
+    n = 20
+    costs = CostVector(tuple(Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                             for _ in range(n)))
+    f = BitmaskCoverage([rng.randrange(1, 1 << 12) for _ in range(n)],
+                        [rng.randint(1, 9) for _ in range(12)])
+    items = list(range(n))
+    target = ALPHA * f(frozenset(items))
+
+    def feasible(budget):
+        return f(wolsey_greedy(items, f, costs, budget)) >= target
+
+    probes = []
+
+    def counted(*args):
+        probes.append(args[3])
+        return wolsey_greedy(*args)
+
+    monkeypatch.setattr(budgeted, "wolsey_greedy", counted)
+    b = find_budget(items, f, costs)
+    monkeypatch.undo()
+    assert 1 <= len(probes) <= 2 * n + 1
+    assert probes[-1] == b
+    assert feasible(b)
+    # the greedy at one unit below b is the greedy at the breakpoint
+    # before b
+    assert not feasible(b - Fraction(1, costs.scale))
+    assert all(not feasible(p) for p in probes[:-1])
 
 
 def test_check_wolsey_bound_small():

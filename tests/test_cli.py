@@ -431,6 +431,19 @@ def test_failures_exit_with_their_code(tmp_path, capsys, argv, code, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+def test_table_above_goal_is_a_parse_error(tmp_path, capsys, algorithm):
+    # every solver refuses the file alike, before any of them runs
+    doc = off_sample_goal_doc()
+    doc["utility"]["values"]["0,*"] = 3
+    infile = write_doc(tmp_path / "above.json", doc)
+    assert run(["solve", "--algorithm", algorithm, "--in", infile,
+                "--out", tmp_path / "o.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert "table value 3 at ('0', '*') exceeds the goal 2" in err
+
+
 def test_uncovered_coverage_is_a_parse_error(tmp_path, capsys):
     doc = k_of_n_doc(n=2, k=1)
     doc["utility"] = {"kind": "coverage", "universe_size": 1, "covers": {}}

@@ -28,13 +28,7 @@ from scencover.core import (
     validate_tree,
 )
 from scencover.adaptivegreedy import scenario_adaptive_greedy
-from scencover.budgeted import (
-    GRID_BITS,
-    GreedyOrder,
-    budget_candidates,
-    find_budget,
-    wolsey_greedy,
-)
+from scencover.budgeted import GreedyOrder, find_budget, wolsey_greedy
 from scencover.mixedgreedy import (
     MixedGreedyStrategy,
     anchored,
@@ -59,6 +53,7 @@ from conftest import (
     RootReplayStrategy,
     instance_stream,
     is_extension,
+    reference_budget_candidates,
     reference_execute_online,
     reference_induced_instance,
     reference_invocation_plan,
@@ -169,8 +164,7 @@ def test_weight_removal_greedy_matches_frozenset_form():
         if plain(frozenset(items)) > 0:
             assert (find_budget(items, h, costs)
                     == find_budget(items, plain, costs)), seed
-        for k in budget_candidates(items, costs):
-            budget = Fraction(k, costs.scale << GRID_BITS)
+        for budget in reference_budget_candidates(items, costs):
             assert (wolsey_greedy(items, h, costs, budget)
                     == wolsey_greedy(items, plain, costs, budget)), seed
 

@@ -60,6 +60,7 @@ from conftest import (
     reference_partial_table,
     reference_one_step_adaptive_submodular,
     reference_one_step_submodular,
+    seeded_table_instance,
 )
 
 U = UNKNOWN
@@ -214,6 +215,21 @@ def test_monotone_certificates_hold_on_every_family():
                 assert check_monotone(combined).ok, (family, seed)
             families.add(family)
     assert families == set(FAMILIES)
+
+
+def test_monotone_certificate_holds_on_tables_and_combinations():
+    # a table, rarely monotone, and its g_S and g_W combinations claim the
+    # certificate only where the exhaustive checker confirms it
+    refuted = 0
+    for seed in range(40):
+        inst = seeded_table_instance(seed)
+        g = inst.utility
+        for combined in (g, scenario_count_utility(g, inst.sample),
+                         scenario_weight_utility(g, inst.sample)):
+            ok = check_monotone(combined).ok
+            assert ok or not combined.monotone, seed
+            refuted += not ok
+    assert refuted > 0
 
 
 def test_monotone_certificate_claims_nothing_for_tables():
@@ -462,6 +478,17 @@ def test_goal_verification():
     assert KOfNUtility(3, 2).verify_goal_on_full()
     table = {b: 0 for b in itertools.product(("0", "1", U), repeat=2)}
     assert not TableUtility(table, 1, 2, BINARY).verify_goal_on_full()
+
+
+def test_table_refuses_a_value_above_the_goal():
+    table = {b: 1 for b in itertools.product(("0", "1", U), repeat=2)}
+    table[("0", U)] = 3
+    with pytest.raises(PreconditionError,
+                       match=r"table value 3 at \('0', '\*'\) exceeds "
+                             r"the goal 2"):
+        TableUtility(table, 2, 2, BINARY)
+    table[("0", U)] = 2
+    assert TableUtility(table, 2, 2, BINARY).value(("0", U)) == 2
 
 
 def test_table_must_list_every_partial():
