@@ -51,7 +51,8 @@ class IncrementalFunction:
     fill it, and `wolsey_greedy` adds each set it returns.
 
     `rounds` maps a state to {item: (state, value)} of the one-item
-    extensions `successor` has made, so each is made once.  `monotone`
+    extensions `successor` has made, so each is made once; a caller that
+    has made some may seed them, as it may fill `known`.  `monotone`
     certifies that adding an item never lowers the value; False claims
     nothing.
     """

@@ -128,6 +128,10 @@ def enumerate_partials(alphabet: StateAlphabet, n: int):
     return itertools.product(alphabet.states + (UNKNOWN,), repeat=n)
 
 
+#: Maps the digits b"0" and b"1" of a `bin` string to the bytes 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """Distinct full realizations with positive integer weights.
@@ -218,16 +222,18 @@ class WeightedSample:
 
     def mass(self, mask: int) -> int:
         """Total weight of the rows in a row mask."""
-        return sum((mask & plane).bit_count() << k
-                   for k, plane in enumerate(self._planes))
+        total = 0
+        for k, plane in enumerate(self._planes):
+            total += (mask & plane).bit_count() << k
+        return total
 
     def consistent_rows(self, b):
         """Rows extending b in sample order, together with their total weight."""
         mask = self.mask_of(b)
-        # bin() lists bit j at position -1-j; reversed, row j pairs with bit j
-        bits = bin(mask)[:1:-1]
-        rows = tuple(row for row, bit in zip(self.rows, bits) if bit == "1")
-        return rows, self.mass(mask)
+        # bin() lists bit j at position -1-j; reversed, row j pairs with bit
+        # j, and as bytes 0/1 the digits select the rows in C
+        bits = bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)
+        return tuple(itertools.compress(self.rows, bits)), self.mass(mask)
 
     def weight_of(self, b) -> int:
         """Total weight of rows extending b."""

@@ -68,13 +68,27 @@ def anchored(b, items, sigma):
     return tuple(cur)
 
 
-def worst_case_realization(g: UtilityFunction, state, frees) -> dict:
+def worst_case_realization(g: UtilityFunction, state, frees):
     """Anchor state (minimum gain, alphabet order on ties) per item of
     `frees`, the free items of some b, each gain one `step` from `state`,
-    b's state `g.state_of(b)`."""
+    b's state `g.state_of(b)`.
+
+    Returns (sigma, round): sigma maps each item to its anchor state, and
+    round maps it to (the state after its anchor step, that step's gain),
+    the root round of the gain of anchoring a set from b."""
     step, level = g.step, g.level
-    return {i: min(g.alphabet.states, key=lambda s: level(step(state, i, s)))
-            for i in frees}
+    base = level(state)
+    sigma, anchor_round = {}, {}
+    for i in frees:
+        best = None
+        for s in g.alphabet.states:
+            after = step(state, i, s)
+            v = level(after)
+            if best is None or v < least:
+                best, least, best_after = s, v, after
+        sigma[i] = best
+        anchor_round[i] = best_after, least - base
+    return sigma, anchor_round
 
 
 def weight_removal_function(instance: ScenarioInstance, b,
@@ -134,17 +148,24 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
             "no free items at %r but utility %d < goal %d" % (b, gb, g.goal)
         )
     state = g.state_of(b)  # then g's state of b anchored on every pick
-    sigma = worst_case_realization(g, state, frees)
+    sigma, anchor_round = worst_case_realization(g, state, frees)
     step, level = g.step, g.level
     # the utility gained by anchoring a set, read from b's state; monotone
-    # when g is, and its rounds serve every budget probe and stage 2
+    # when g is.  Its rounds serve every budget probe and both stages, and
+    # the anchor scan has made the one at b's state
     anchored_gain = IncrementalFunction(
         state, lambda st, i: step(st, i, sigma[i]), lambda st: level(st) - gb,
         g.monotone)
-    full_gain = anchored_gain(frozenset(frees))  # find_budget reads it again
+    anchored_gain.rounds[state] = anchor_round
+    successor = anchored_gain.successor
+    # the gain of anchoring every free item, from the state of b anchored on
+    # them all, so that no step leaves b's state twice; find_budget reads it
+    worst = anchored(b, frees, sigma)
+    full_gain = level(g.state_of(worst)) - gb
+    anchored_gain.known[frozenset(frees)] = full_gain
     if full_gain <= 0:
         raise PreconditionError("worst-case realization %r has utility %d < goal %d"
-                                % (anchored(b, frees, sigma), gb + full_gain, g.goal))
+                                % (worst, gb + full_gain, g.goal))
 
     try:
         budget = find_budget(frees, anchored_gain, costs)
@@ -161,18 +182,21 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
     fits, spends = num // den, -(-num // den)
     eligible = sorted(i for i in frees if units[i] <= fits)
 
+    gain = 0  # anchored_gain's value at `state`
+    goal_gain = g.goal - gb
+
     def stage(f, items):
         """Anchor the picks of f's greedy order over `items` until the
         budget is spent, the goal is met, or no item is left (tested in
         that order).  Returns the order and the exit."""
-        nonlocal state
+        nonlocal state, gain
         order = GreedyOrder(items, f, costs)
         while True:
             best = order.pick()
-            state = step(state, best, sigma[best])
+            state, gain = successor(state, best)
             if order.spent[-1] >= spends:
                 return order, "budget"
-            if level(state) == g.goal:
+            if gain == goal_gain:
                 return order, "goal"
             if not order.remaining:
                 return order, "exhausted"
@@ -206,7 +230,7 @@ def invocation_plan(instance: ScenarioInstance, b) -> InvocationTrace:
         stage2_exit=stage2_exit,
         final=anchored(b, stage1 + stage2, sigma),
         entry_value=gb,
-        final_value=level(state),
+        final_value=gb + gain,
     )
 
 

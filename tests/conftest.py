@@ -41,7 +41,6 @@ from scencover.mixedgreedy import (
     combined_count_instance,
     invocation_plan,
     weight_removal_function,
-    worst_case_realization,
 )
 from scencover.oracle import optimal_budgeted
 from scencover.utility import (
@@ -418,12 +417,13 @@ def reference_find_budget(items, f, costs):
 
 
 def reference_invocation_plan(instance, b):
-    """One invocation with `Fraction` budget, eligibility and spent cost."""
+    """One invocation with `Fraction` budget, eligibility and spent cost,
+    and anchors chosen by `worst_state` from the value memo."""
     g = instance.utility
     costs = instance.costs
     gb = g.value(b)
     frees = free_items(b)
-    sigma = worst_case_realization(g, g.state_of(b), frees)
+    sigma = {i: worst_state(g, b, i) for i in frees}
 
     def anchored_gain(u):
         cur = b

@@ -254,8 +254,9 @@ def test_criterion_10_cross_checks():
         b = tuple("*" for _ in b)  # audit the root entry
         if inst.utility.value(b) >= inst.goal:
             continue
-        sigma = worst_case_realization(inst.utility, inst.utility.state_of(b),
-                                       free_items(b))
+        sigma, _ = worst_case_realization(inst.utility,
+                                          inst.utility.state_of(b),
+                                          free_items(b))
         rows = [(a, w) for a, w in inst.sample.rows if is_extension(a, b)]
         wb = sum(w for _, w in rows)
         h = weight_removal_function(inst, b, sigma)

@@ -1,5 +1,7 @@
 """Data-model tests: partial realizations, samples, trees, expected cost."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -128,21 +130,44 @@ def _scan(sample, b):
     return rows, sum(w for _, w in rows)
 
 
+#: Weights up to 2^20 give a sample up to 21 bit planes.
+MAX_WEIGHT = 1 << 20
+
+
 @st.composite
 def sample_and_partial(draw):
     n = draw(st.integers(1, 5))
     states = ("0", "1", "2")[: draw(st.integers(2, 3))]
     full = st.tuples(*[st.sampled_from(states)] * n)
     assignments = draw(st.lists(full, max_size=12, unique=True))
-    weights = draw(st.lists(st.integers(1, 40), min_size=len(assignments),
+    weights = draw(st.lists(st.integers(1, MAX_WEIGHT),
+                            min_size=len(assignments),
                             max_size=len(assignments)))
     # "2" on a binary sample and "x" always are states no row has
     b = draw(st.tuples(*[st.sampled_from(states + ("x", U, U))] * n))
     return WeightedSample(tuple(zip(assignments, weights))), b
 
 
+def binary_sample(m, n, seed):
+    """m distinct binary rows of n items in random order, with random
+    weights up to MAX_WEIGHT."""
+    rng = random.Random(seed)
+    rows = rng.sample(list(itertools.product("01", repeat=n)), m)
+    return WeightedSample(tuple((a, rng.randint(1, MAX_WEIGHT)) for a in rows))
+
+
 @given(sample_and_partial())
 @example((WeightedSample(()), (U, "0")))
+# row masks one bit short of, at and one bit past a whole byte, and of 64
+# rows, all or some of them; the last drops every row
+@example((binary_sample(7, 4, 7), (U, U, U, U)))
+@example((binary_sample(8, 4, 8), (U, U, U, U)))
+@example((binary_sample(8, 4, 8), ("1", U, U, U)))
+@example((binary_sample(9, 4, 9), (U, U, U, U)))
+@example((binary_sample(9, 4, 9), (U, U, "0", U)))
+@example((binary_sample(64, 6, 64), (U,) * 6))
+@example((binary_sample(64, 6, 64), (U, "1", U, U, "0", U)))
+@example((binary_sample(64, 6, 64), (U, "x", U, U, U, U)))
 def test_row_index_matches_row_scan(drawn):
     sample, b = drawn
     rows, weight = _scan(sample, b)
@@ -160,6 +185,25 @@ def test_row_index_matches_row_scan(drawn):
         for query in (sample.consistent_rows, sample.weight_of):
             with pytest.raises(PreconditionError):
                 query(b + (U,))
+
+
+def test_row_index_matches_row_scan_on_a_thousand_rows():
+    # m = 1000 rows, as `serve` samples: partials with one to four observed
+    # items, the empty partial, and one with a state no row has
+    sample = binary_sample(1000, 12, 1000)
+    rng = random.Random(1)
+    partials = [empty_partial(12), ("x",) + (U,) * 11]
+    for size in (1, 1, 2, 3, 4):
+        b = list(empty_partial(12))
+        for i in rng.sample(range(12), size):
+            b[i] = rng.choice("01")
+        partials.append(tuple(b))
+    for b in partials:
+        rows, weight = _scan(sample, b)
+        assert sample.consistent_rows(b) == (rows, weight), b
+        assert sample.weight_of(b) == weight, b
+    assert len(sample.consistent_rows(partials[0])[0]) == 1000
+    assert sample.consistent_rows(partials[1]) == ((), 0)
 
 
 def test_sample_invariants():

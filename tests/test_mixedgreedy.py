@@ -1,5 +1,6 @@
 """The two-stage backbone tree builder, its online form, and the audits."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -47,7 +48,15 @@ from scencover.mixedgreedy import (
 )
 from scencover.generate import random_instance
 from scencover.oracle import optimal_tree
-from scencover.utility import BINARY, KOfNUtility, TableUtility, worst_state
+from scencover.utility import (
+    BINARY,
+    CoverageUtility,
+    KOfNUtility,
+    OrUtility,
+    TableUtility,
+    marginal,
+    worst_state,
+)
 from conftest import (
     FAMILIES,
     RootReplayStrategy,
@@ -77,21 +86,27 @@ def test_worst_case_realization_constant():
     for a in itertools.product(("0", "1"), repeat=2):
         table[a] = 1
     g = TableUtility(table, 1, 2, BINARY)
-    sigma = worst_case_realization(g, g.state_of((U, U)), (0, 1))
+    sigma, anchor_round = worst_case_realization(g, g.state_of((U, U)), (0, 1))
     assert sigma == {0: "0", 1: "0"}  # ties break on alphabet order
+    # each anchor's step from b's state, with its gain
+    assert anchor_round == {0: (("0", U), 0), 1: ((U, "0"), 0)}
 
 
 def test_worst_case_realization_k_of_n():
     g = KOfNUtility(3, 2)
-    sigma = worst_case_realization(g, g.state_of((U, U, U)), (0, 1, 2))
+    b = (U, U, U)
+    state = g.state_of(b)
+    sigma, anchor_round = worst_case_realization(g, state, (0, 1, 2))
     for i in range(3):
-        assert sigma[i] == worst_state(g, (U, U, U), i)
+        assert sigma[i] == worst_state(g, b, i)
+        assert anchor_round[i] == (g.step(state, i, sigma[i]),
+                                   marginal(g, b, i, sigma[i]))
 
 
 def test_worst_case_realization_single_free():
     g = KOfNUtility(2, 1)
-    sigma = worst_case_realization(g, g.state_of(("1", U)), (1,))
-    assert set(sigma) == {1}
+    sigma, anchor_round = worst_case_realization(g, g.state_of(("1", U)), (1,))
+    assert set(sigma) == set(anchor_round) == {1}
 
 
 def _two_item_instance():
@@ -127,9 +142,9 @@ def test_weight_removal_function_matches_row_definition():
         for b in (empty_partial(inst.n), extend(empty_partial(inst.n), 0, a0[0])):
             if inst.utility.value(b) >= inst.goal:
                 continue
-            sigma = worst_case_realization(inst.utility,
-                                           inst.utility.state_of(b),
-                                           free_items(b))
+            sigma, _ = worst_case_realization(inst.utility,
+                                              inst.utility.state_of(b),
+                                              free_items(b))
             rows = [(a, w) for a, w in inst.sample.rows if is_extension(a, b)]
             h = weight_removal_function(inst, b, sigma)
             frees = free_items(b)
@@ -147,8 +162,9 @@ def test_weight_removal_greedy_matches_frozenset_form():
         b = empty_partial(inst.n)
         if inst.utility.value(b) >= inst.goal:
             continue
-        sigma = worst_case_realization(inst.utility, inst.utility.state_of(b),
-                                       free_items(b))
+        sigma, _ = worst_case_realization(inst.utility,
+                                          inst.utility.state_of(b),
+                                          free_items(b))
         h = weight_removal_function(inst, b, sigma)
         wb = inst.sample.weight_of(b)
 
@@ -260,6 +276,60 @@ def test_invocation_plan_requires_unmet_goal():
     inst = _two_item_instance()
     with pytest.raises(PreconditionError):
         invocation_plan(inst, ("1", "0"))
+
+
+def test_one_invocation_steps_each_anchor_once(monkeypatch):
+    # the anchor scan steps b's state once per (free item, state), and the
+    # budget search, the full gain and both stages find the anchor steps
+    # in the anchored gain's root round.  `step` is wrapped in the classes
+    # before any instance is built, so no bound `step` escapes the count,
+    # and only the instance utility's own steps from b's state are read
+    steps = collections.Counter()
+    for cls in (CoverageUtility, OrUtility):
+        def counted(self, state, i, s, step=cls.step):
+            steps[self, state, i, s] += 1
+            return step(self, state, i, s)
+
+        monkeypatch.setattr(cls, "step", counted)
+    checked = 0
+    for seed, inst, _ in instance_stream(40, base_seed=9900, max_n=7,
+                                         families=("coverage", "g_W")):
+        g = inst.utility
+        root = empty_partial(inst.n)
+        for b in (root, extend(root, 0, inst.sample.rows[0][0][0])):
+            if g.value(b) >= g.goal:
+                continue
+            steps.clear()
+            invocation_plan(inst, b)
+            state = g.state_of(b)
+            counts = {(i, s): n for (u, st, i, s), n in steps.items()
+                      if u is g and st == state}
+            assert counts == {(i, s): 1 for i in free_items(b)
+                              for s in inst.alphabet}, (seed, b)
+            checked += b != root
+    assert checked
+
+
+def test_table_invocations_match_fraction_reference():
+    # on non-monotone tables, whose low levels tie often, every invocation
+    # of both backbone solvers equals the reference's, which takes its
+    # anchors from `worst_state` and not from the anchor scan.  Where a
+    # table's anchors miss the goal or its gain is not submodular, the
+    # walk stops at the refused invocation, after those planned before it
+    compared = refused = 0
+    for seed in range(40):
+        inst = seeded_table_instance(seed)
+        for solved in (inst, combined_count_instance(inst)):
+            strategy = MixedGreedyStrategy(solved)
+            try:
+                materialize(strategy, solved.alphabet, solved.n)
+            except PreconditionError:
+                refused += 1
+            for trace in strategy.plans.values():
+                assert trace == reference_invocation_plan(solved, trace.entry), (
+                    seed, trace.entry)
+                compared += 1
+    assert compared and refused
 
 
 def test_tree_has_no_repeated_items():
